@@ -50,9 +50,12 @@ analyze:
 ## plus the elastic-membership pass (graceful join, drain, and a
 ## congestion-triggered scale-up on a live two-tenant cluster) and the
 ## relay-multicast pass: wire-frame accounting across simulated hosts and
-## a relay killed mid-fanout with strict per-tick ledgers across re-election
+## a relay killed mid-fanout with strict per-tick ledgers across re-election;
+## plus the real-time bounds kept out of tier-1 behind the chaos build tag
+## (no coalescing hold may flush past a frame's FlushBy)
 CHAOS_COUNT ?= 3
 chaos:
+	$(GO) test -race -tags chaos -count $(CHAOS_COUNT) -run 'TestCoalescingNeverFlushesLate' ./internal/core/comm
 	$(GO) test -race -count $(CHAOS_COUNT) -run 'TestChaosWorkerCrash|TestElasticChaosJoinDrainScaleUp' ./internal/pylot
 	$(GO) test -race -count $(CHAOS_COUNT) -run 'TestFailover|TestReassign|TestBroadcastRingClusterFanout|TestGracefulJoin|TestDrain|TestSubmitTenants|TestRelayMulticastCluster|TestRelayFailoverMidFanout' ./internal/core/cluster
 	$(GO) test -race ./internal/core/faults

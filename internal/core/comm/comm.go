@@ -14,10 +14,12 @@
 // fast path costs one allocation on the receive side (the payload) and none
 // on the send side.
 //
-// The write loop coalesces small frames per peer into one flush, bounded by
-// a byte budget and — for frames carrying a FlushHint — the minimum deadline
-// slack of the queued streams; frames without a hint flush as soon as the
-// queue drains, exactly like the pre-coalescing behavior.
+// The write loop coalesces small frames per peer into one flush: hinted data
+// frames (those carrying a FlushHint) may wait briefly for company, bounded
+// by a byte budget, a hold cap and their deadline slack; a watermark — the
+// last message of its timestamp on its stream — and any unhinted frame
+// flush as soon as the queue drains, exactly like the pre-coalescing
+// behavior.
 //
 // The handshake carries codec negotiation: each side advertises its
 // registered typed-frame codec IDs and versions, and the sender downgrades a
@@ -208,17 +210,18 @@ func (t *Transport) RelayStats() (sent, received, republished uint64) {
 }
 
 // PeerCoalesceStats is one peer link's coalescing telemetry: cumulative
-// frame and flush counters plus the adaptive tuner's current operating
-// point. Heartbeats ship these to the leader, which uses them as the
-// data-plane congestion signal when placing operators.
+// frame and flush counters plus the link's hold cap. Heartbeats ship these
+// to the leader, which uses them as the data-plane congestion signal when
+// placing operators.
 type PeerCoalesceStats struct {
 	Frames    uint64 // frames encoded onto this link
 	Bytes     uint64 // encoded bytes
 	Flushes   uint64 // bw.Flush calls
 	Coalesced uint64 // frames that shared a flush with an earlier frame
-	Budget    int64  // current adaptive flush budget, bytes
-	HoldNs    int64  // current adaptive hold cap, nanoseconds
-	SlackNs   int64  // EWMA of observed FlushHint slack, nanoseconds
+	// HoldNs is the longest a hinted data frame may wait for company on
+	// this link, nanoseconds; zero on links with no write loop (rings and
+	// value links publish every send at once).
+	HoldNs int64
 	// ShmSpillCount counts ring records force-published mid-train on this
 	// link — frame trains larger than the ring's chunk budget streaming
 	// through in pieces. Zero on non-ring links.
@@ -241,10 +244,10 @@ func (t *Transport) PeerCoalesceStats() map[string]PeerCoalesceStats {
 			Bytes:       p.statBytes.Load(),
 			Flushes:     p.statFlushes.Load(),
 			Coalesced:   p.statCoalesced.Load(),
-			Budget:      p.statBudget.Load(),
-			HoldNs:      p.statHoldNs.Load(),
-			SlackNs:     p.statSlackNs.Load(),
 			RelayFrames: p.statRelay.Load(),
+		}
+		if !p.direct && p.vc == nil {
+			st.HoldNs = int64(maxCoalesceHold)
 		}
 		if sc, ok := p.fw.(SpillCounter); ok {
 			st.ShmSpillCount = sc.Spills()
@@ -254,9 +257,11 @@ func (t *Transport) PeerCoalesceStats() map[string]PeerCoalesceStats {
 	return out
 }
 
-// FlushHint bounds how long the transport may hold a frame in the per-peer
-// coalescing buffer. The zero hint means "no slack": the frame is flushed
-// as soon as the write queue drains.
+// FlushHint bounds how long the transport may hold a data frame in the
+// per-peer coalescing buffer. The zero hint means "no slack": the frame is
+// flushed as soon as the write queue drains. A hint never delays a
+// watermark: it closes its timestamp, so it flushes on drain together with
+// whatever data it finds buffered.
 type FlushHint struct {
 	// FlushBy is the absolute instant by which the frame must be on the
 	// wire, typically the producing operator's timestamp deadline.
@@ -275,6 +280,11 @@ type outMsg struct {
 	// flushBy is the frame's coalescing deadline; zero means flush on
 	// queue drain.
 	flushBy time.Time
+	// closes marks a watermark frame: the last message of its timestamp on
+	// its stream. Nothing queued after it can usefully share its flush and
+	// the receiver's watermark callback waits for it, so it flushes on
+	// queue drain whatever its hint.
+	closes bool
 	// release marks a SendRelease message: once the frame is on the wire
 	// the []byte payload is recycled into the payload pool.
 	release bool
@@ -322,13 +332,9 @@ type peer struct {
 	relay bool
 	once  sync.Once
 
-	// tuner adapts this link's flush budget and hold cap to its observed
-	// traffic; it is owned by the writeLoop goroutine and unsynchronized.
-	tuner coalesceTuner
 	// Published telemetry for PeerCoalesceStats readers (heartbeats): the
 	// writeLoop stores, anyone loads.
 	statFrames, statBytes, statFlushes, statCoalesced atomic.Uint64
-	statBudget, statHoldNs, statSlackNs               atomic.Int64
 	// statRelay counts tagRelay envelopes written on this link.
 	statRelay atomic.Uint64
 }
@@ -513,24 +519,22 @@ func (t *Transport) Dial(addr string) error {
 	}
 	fw, fr, direct := frameBuffers(conn)
 	enc := gob.NewEncoder(fw)
-	if err := enc.Encode(t.hello()); err != nil {
-		conn.Close()
-		return err
-	}
-	if err := fw.Flush(); err != nil {
+	if err := t.sendHello(enc, fw); err != nil {
 		conn.Close()
 		return err
 	}
 	dec := gob.NewDecoder(fr)
 	var h hello
 	if err := dec.Decode(&h); err != nil {
+		// The acceptor registers us before it replies and refuses a
+		// duplicate name by hanging up instead, so no reply means no link.
 		conn.Close()
 		return fmt.Errorf("comm: handshake with %s: %w", addr, err)
 	}
 	if pn, ok := t.opts.hook.(PeerNamer); ok {
 		pn.NamePeer(conn, h.Name)
 	}
-	p := t.addPeer(h.Name, conn, enc, fw, scheme, direct, h.Codecs, h.Relay)
+	p := t.addPeer(h.Name, conn, enc, fw, scheme, direct, h.Codecs, h.Relay, false)
 	if p == nil {
 		conn.Close()
 		return fmt.Errorf("comm: duplicate peer %q", h.Name)
@@ -583,6 +587,14 @@ func (t *Transport) hello() hello {
 		h.Codecs = append(h.Codecs, CodecAd{ID: id, Ver: c.Version})
 	}
 	return h
+}
+
+// sendHello writes this transport's handshake message and flushes it.
+func (t *Transport) sendHello(enc *gob.Encoder, fw FrameSink) error {
+	if err := enc.Encode(t.hello()); err != nil {
+		return err
+	}
+	return fw.Flush()
 }
 
 // Disconnect drops the connection to the named peer, if any. It is used
@@ -663,11 +675,12 @@ func (t *Transport) Send(peerName string, id stream.ID, m message.Message) error
 	return t.SendWithHint(peerName, id, m, FlushHint{})
 }
 
-// SendWithHint is Send with a coalescing deadline: the transport may hold
-// the frame in the peer's write buffer until hint.FlushBy (bounded by the
-// byte budget and maximum hold time) to batch it with neighboring frames.
+// SendWithHint is Send with a coalescing deadline: the transport may hold a
+// data frame in the peer's write buffer until hint.FlushBy (bounded by the
+// byte budget and maximum hold time) to batch it with neighboring frames —
+// typically its timestamp's watermark, which ends the hold.
 func (t *Transport) SendWithHint(peerName string, id stream.ID, m message.Message, hint FlushHint) error {
-	return t.send(peerName, outMsg{id: id, m: m, flushBy: hint.FlushBy})
+	return t.send(peerName, outMsg{id: id, m: m, flushBy: hint.FlushBy, closes: m.IsWatermark()})
 }
 
 // SendRelease is SendWithHint for messages whose []byte payload came from
@@ -675,7 +688,7 @@ func (t *Transport) SendWithHint(peerName string, id stream.ID, m message.Messag
 // wire the payload is recycled into the pool. The caller must not touch
 // m.Payload afterwards. Non-[]byte payloads are sent normally.
 func (t *Transport) SendRelease(peerName string, id stream.ID, m message.Message, hint FlushHint) error {
-	return t.send(peerName, outMsg{id: id, m: m, flushBy: hint.FlushBy, release: true})
+	return t.send(peerName, outMsg{id: id, m: m, flushBy: hint.FlushBy, closes: m.IsWatermark(), release: true})
 }
 
 // SendBytes transmits a data message whose payload is payload's raw bytes.
@@ -876,19 +889,10 @@ func (t *Transport) acceptLoop(ln Listener, scheme string) {
 				conn.Close()
 				return
 			}
-			enc := gob.NewEncoder(fw)
-			if err := enc.Encode(t.hello()); err != nil {
-				conn.Close()
-				return
-			}
-			if err := fw.Flush(); err != nil {
-				conn.Close()
-				return
-			}
 			if pn, ok := t.opts.hook.(PeerNamer); ok {
 				pn.NamePeer(conn, h.Name)
 			}
-			p := t.addPeer(h.Name, conn, enc, fw, scheme, direct, h.Codecs, h.Relay)
+			p := t.addPeer(h.Name, conn, gob.NewEncoder(fw), fw, scheme, direct, h.Codecs, h.Relay, true)
 			if p == nil {
 				conn.Close()
 				return
@@ -898,16 +902,14 @@ func (t *Transport) acceptLoop(ln Listener, scheme string) {
 	}
 }
 
-func (t *Transport) addPeer(name string, conn net.Conn, enc *gob.Encoder, fw FrameSink, scheme string, direct bool, ads []CodecAd, relay bool) *peer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	old := *t.peers.Load()
-	if _, dup := old[name]; dup {
-		return nil
-	}
+// addPeer registers a handshaken connection under name and starts its
+// loops; it returns nil, registering nothing, for a duplicate name or a
+// closed transport. An acceptor passes reply: the hello reply is written
+// after the peer is in the table, so a dialer whose handshake completes is
+// already known here, but before any send can reach fw — direct sends wait
+// on wmu and queued sends wait in out for the write loop started after it.
+// A failed reply rolls the registration back.
+func (t *Transport) addPeer(name string, conn net.Conn, enc *gob.Encoder, fw FrameSink, scheme string, direct bool, ads []CodecAd, relay, reply bool) *peer {
 	var remote map[uint64]uint8
 	if len(ads) > 0 {
 		remote = make(map[uint64]uint8, len(ads))
@@ -929,20 +931,46 @@ func (t *Transport) addPeer(name string, conn net.Conn, enc *gob.Encoder, fw Fra
 		codecs: remote,
 		relay:  relay,
 	}
+	// Value links deliver through the value loop; the byte write loop
+	// would only idle (the byte stream carries nothing after the
+	// handshake, serving as the liveness signal). Direct links have no
+	// loop at all.
+	loop := p.vc != nil || !p.direct
+	p.wmu.Lock()
+	t.mu.Lock()
+	old := *t.peers.Load()
+	if _, dup := old[name]; dup || t.closed {
+		t.mu.Unlock()
+		p.wmu.Unlock()
+		return nil
+	}
 	next := make(map[string]*peer, len(old)+1)
 	for k, v := range old {
 		next[k] = v
 	}
 	next[name] = p
 	t.peers.Store(&next)
-	if p.vc != nil {
-		// Value links deliver through the value loop; the byte write
-		// loop would only idle (the byte stream carries nothing after
-		// the handshake, serving as the liveness signal).
+	if loop {
+		// Counted under mu so a racing Close waits for the loop.
 		t.wg.Add(1)
+	}
+	t.mu.Unlock()
+	var err error
+	if reply {
+		err = t.sendHello(enc, fw)
+	}
+	p.wmu.Unlock()
+	switch {
+	case err != nil:
+		t.dropPeer(p)
+		t.drainPeer(p)
+		if loop {
+			t.wg.Done()
+		}
+		return nil
+	case p.vc != nil:
 		go t.valueLoop(p)
-	} else if !p.direct {
-		t.wg.Add(1)
+	case !p.direct:
 		go t.writeLoop(p)
 	}
 	return p
@@ -1251,6 +1279,17 @@ func frameStreamID(frame []byte) (stream.ID, error) {
 	return stream.ID(sid), nil
 }
 
+// frameCloses reports whether a complete tagRaw/tagTyped wire frame carries
+// a watermark: in a tagRaw frame the kind byte follows the uvarint stream
+// id, and tagTyped frames always carry data.
+func frameCloses(frame []byte) bool {
+	if len(frame) < 2 || frame[0] != tagRaw {
+		return false
+	}
+	_, n := binary.Uvarint(frame[1:])
+	return n > 0 && len(frame) > 1+n && message.Kind(frame[1+n]) == message.KindWatermark
+}
+
 // decodes reports whether the peer advertised it can decode frames of the
 // given codec at the version the local build writes. A peer with no
 // advertisement (pre-negotiation build) is assumed to share our registry.
@@ -1263,13 +1302,14 @@ func (p *peer) decodes(id uint64, version uint8) bool {
 }
 
 // writeMsg frames one message — raw binary, typed binary, or gob Envelope —
-// and returns the encoded size plus whether the frame must be flushed on
-// queue drain regardless of hints (gob frames report a nominal size since
-// the encoder writes through the frame writer directly; they are rare by construction).
+// and returns the encoded size plus whether it fell back to gob, which the
+// write loop flushes on queue drain regardless of hints (gob frames report
+// a nominal size since the encoder writes through the frame writer
+// directly; they are rare by construction).
 // The typed path is taken only when the handshake advertisement says the
 // peer decodes this codec at our version; otherwise the payload downgrades
 // to the gob Envelope for this peer while same-build peers stay typed.
-func (t *Transport) writeMsg(p *peer, o outMsg) (n int, mustFlush bool, err error) {
+func (t *Transport) writeMsg(p *peer, o outMsg) (n int, viaGob bool, err error) {
 	if o.bcast != nil {
 		n = len(o.bcast.buf)
 		if o.relay {
@@ -1315,21 +1355,21 @@ func (t *Transport) writeMsg(p *peer, o outMsg) (n int, mustFlush bool, err erro
 				t.rawSent.Add(1)
 			}
 		}
-		return n, o.flushBy.IsZero(), err
+		return n, false, err
 	}
 	if o.rawSet {
 		n, err = writeRawParts(p.fw, o.id, message.KindData, o.m.Timestamp, o.raw, true)
 		if err == nil {
 			t.rawSent.Add(1)
 		}
-		return n, o.flushBy.IsZero(), err
+		return n, false, err
 	}
 	if rawEligible(o.m) {
 		n, err = writeRawFrame(p.fw, o.id, o.m)
 		if err == nil {
 			t.rawSent.Add(1)
 		}
-		return n, o.flushBy.IsZero(), err
+		return n, false, err
 	}
 	if fp, ok := o.m.Payload.(FramePayload); ok {
 		if c := lookupCodec(fp.FrameCodec()); c != nil && p.decodes(c.ID, c.Version) {
@@ -1337,7 +1377,7 @@ func (t *Transport) writeMsg(p *peer, o outMsg) (n int, mustFlush bool, err erro
 			if err == nil {
 				t.typedSent.Add(1)
 			}
-			return n, o.flushBy.IsZero(), err
+			return n, false, err
 		}
 	} else if d, ok := o.m.Payload.(time.Duration); ok && p.decodes(DurationCodecID, 1) {
 		n, err = writeTypedFrame(p.fw, o.id, o.m, DurationCodecID, 1, func(dst []byte) []byte {
@@ -1346,7 +1386,7 @@ func (t *Transport) writeMsg(p *peer, o outMsg) (n int, mustFlush bool, err erro
 		if err == nil {
 			t.typedSent.Add(1)
 		}
-		return n, o.flushBy.IsZero(), err
+		return n, false, err
 	}
 	if err := p.fw.WriteByte(tagGob); err != nil {
 		return 1, true, err
@@ -1359,13 +1399,10 @@ func (t *Transport) writeMsg(p *peer, o outMsg) (n int, mustFlush bool, err erro
 	return 256, true, nil
 }
 
-// Coalescing knobs. flushBudget and maxCoalesceHold are the *floors* the
-// per-peer tuner starts from (and the fixed values unhinted traffic keeps):
-// a flush is forced once the adaptive budget is buffered, hinted frames may
-// be held up to the adaptive hold cap past their arrival waiting for
-// companions, but never later than flushGuard before the earliest FlushBy
-// among held frames. maxFlushBudget and maxAdaptiveHold bound how far the
-// tuner may grow either knob on a slack-rich link.
+// Coalescing knobs. A flush is forced once flushBudget bytes are buffered;
+// hinted data frames may be held up to maxCoalesceHold past the oldest
+// one's arrival waiting for companions, but never later than flushGuard
+// before the earliest FlushBy among held frames.
 //
 // Slack bounds how long a held frame MAY wait; the gap EWMA bounds how long
 // waiting is WORTH it. Once the producer has been idle for companyGaps
@@ -1377,9 +1414,7 @@ func (t *Transport) writeMsg(p *peer, o outMsg) (n int, mustFlush bool, err erro
 // flushes the whole burst as one frame train.
 const (
 	flushBudget     = 32 << 10
-	maxFlushBudget  = 256 << 10
 	maxCoalesceHold = time.Millisecond
-	maxAdaptiveHold = 4 * time.Millisecond
 	flushGuard      = 500 * time.Microsecond
 	ewmaAlpha       = 0.125
 	companyGaps     = 8
@@ -1387,94 +1422,83 @@ const (
 	companySpins    = 4
 )
 
-// coalesceTuner sizes one peer link's coalescing knobs from the traffic it
-// actually carries: EWMAs of frame size, inter-arrival gap, and FlushHint
-// slack. Unhinted links decay the slack estimate back to zero and keep the
-// fixed defaults, so latency-sensitive traffic never pays for adaptation;
-// hinted links grow the budget toward the bytes expected to arrive within
-// the observed slack window, so a hinted burst rides the wire in one flush
-// instead of fragmenting at the fixed 32 KB boundary.
-type coalesceTuner struct {
-	frameBytes float64 // EWMA of encoded frame sizes (bytes)
-	gapNs      float64 // EWMA of frame inter-arrival gaps (ns)
-	slackNs    float64 // EWMA of FlushHint slack (ns); 0 while unhinted
-	last       time.Time
+// coalescer is one link's write-loop batching state, owned by the writeLoop
+// goroutine. The gap EWMA and last arrival persist across flushes; the rest
+// describes the frames buffered since the last flush.
+type coalescer struct {
+	gapNs float64   // EWMA of frame inter-arrival gaps (ns)
+	last  time.Time // when the newest frame was encoded
+
+	buffered  int       // bytes encoded since the last flush
+	held      int       // frames encoded since the last flush
+	holdBy    time.Time // earliest FlushBy among held hinted data frames
+	holdSince time.Time // when the oldest held frame was encoded
+	mustFlush bool      // a held frame closes its timestamp or has no hint
 }
 
-func ewma(prev, sample float64) float64 {
-	if prev == 0 {
-		return sample
-	}
-	return prev + ewmaAlpha*(sample-prev)
-}
-
-// observe folds one encoded frame into the estimates. Frames without a hint
-// contribute zero slack, decaying slackNs so a link that stops hinting
-// reverts to the fixed knobs.
-func (c *coalesceTuner) observe(now time.Time, n int, flushBy time.Time) {
+// add records one frame of n bytes encoded at now. A frame that closes its
+// timestamp (or otherwise must not wait) or carries no hint makes the
+// buffer flush at drain; a hinted data frame lowers holdBy to its FlushBy.
+func (c *coalescer) add(now time.Time, n int, flushBy time.Time, closes bool) {
 	if !c.last.IsZero() {
 		if gap := float64(now.Sub(c.last)); gap > 0 {
-			c.gapNs = ewma(c.gapNs, gap)
+			if c.gapNs == 0 {
+				c.gapNs = gap
+			} else {
+				c.gapNs += ewmaAlpha * (gap - c.gapNs)
+			}
 		}
 	}
 	c.last = now
-	c.frameBytes = ewma(c.frameBytes, float64(n))
-	var slack float64
-	if !flushBy.IsZero() {
-		if s := flushBy.Sub(now); s > 0 {
-			slack = float64(s)
-		}
+	c.buffered += n
+	c.held++
+	if c.holdSince.IsZero() {
+		c.holdSince = now
 	}
-	c.slackNs = ewma(c.slackNs, slack)
+	if closes || flushBy.IsZero() {
+		c.mustFlush = true
+	} else if c.holdBy.IsZero() || flushBy.Before(c.holdBy) {
+		c.holdBy = flushBy
+	}
 }
 
-// budget returns the byte threshold that forces a flush: the fixed default
-// while the link shows no usable slack, otherwise the bytes expected to
-// arrive within the slack window (slack/gap frames of the running mean
-// size), floored at the default and capped at maxFlushBudget.
-func (c *coalesceTuner) budget() int {
-	if c.slackNs <= float64(flushGuard) {
-		return flushBudget
-	}
-	gap := c.gapNs
-	if gap < 1 {
-		gap = 1
-	}
-	b := int(c.slackNs / gap * c.frameBytes)
-	if b < flushBudget {
-		b = flushBudget
-	}
-	if b > maxFlushBudget {
-		b = maxFlushBudget
-	}
-	return b
+// flushed resets the per-flush state.
+func (c *coalescer) flushed() {
+	c.buffered, c.held, c.mustFlush = 0, 0, false
+	c.holdBy, c.holdSince = time.Time{}, time.Time{}
 }
 
-// hold returns how long the oldest held frame may wait for companions:
-// the fixed cap while unhinted, otherwise the observed slack minus the
-// scheduling guard, clamped to [maxCoalesceHold, maxAdaptiveHold].
-func (c *coalesceTuner) hold() time.Duration {
-	if c.slackNs == 0 {
-		return maxCoalesceHold
+// flushAt decides, once the out queue has drained, when the buffered frames
+// must go out; the zero time means now. A frame that closes its timestamp,
+// an unhinted frame or a full budget flushes at drain. Otherwise every held
+// frame is hinted data, which waits for company until the earliest FlushBy
+// minus flushGuard, at most maxCoalesceHold past the oldest held frame, and
+// no longer than companyGaps expected gaps past the newest. spin reports a
+// burst-rate producer (that idle window is under spinPatience): the loop
+// yields for company a few times instead of arming a timer, then flushes.
+func (c *coalescer) flushAt() (at time.Time, spin bool) {
+	if c.mustFlush || c.buffered >= flushBudget {
+		return time.Time{}, false
 	}
-	h := time.Duration(c.slackNs) - flushGuard
-	if h < maxCoalesceHold {
-		h = maxCoalesceHold
+	patience := time.Duration(companyGaps * c.gapNs)
+	if patience > 0 && patience < spinPatience {
+		return time.Time{}, true
 	}
-	if h > maxAdaptiveHold {
-		h = maxAdaptiveHold
+	at = c.holdBy.Add(-flushGuard)
+	if holdCap := c.holdSince.Add(maxCoalesceHold); holdCap.Before(at) {
+		at = holdCap
 	}
-	return h
+	if idleBy := c.last.Add(patience); patience > 0 && idleBy.Before(at) {
+		at = idleBy
+	}
+	return at, false
 }
 
-// writeLoop serializes frame encoding per connection and batches flushes.
-// It drains whatever is queued, encoding each message; if every buffered
-// frame carries deadline slack (a FlushHint) it holds the buffer — bounded
-// by the peer's adaptive budget and hold cap, the minimum FlushBy minus
-// flushGuard, and the producer going idle for companyGaps expected
-// inter-arrival gaps — waiting for more frames to share the flush. Any
-// unhinted frame forces the pre-coalescing behavior: flush as soon as the
-// queue drains.
+// writeLoop serializes frame encoding per connection and batches flushes:
+// it drains whatever is queued, encoding each message, then flushes when
+// the coalescer's flushAt says so — at once when a watermark or an
+// unhinted frame is buffered, otherwise after holding hinted data for
+// company.
 func (t *Transport) writeLoop(p *peer) {
 	defer t.wg.Done()
 	// Exit order (LIFO): dropPeer first — closing done so senders start
@@ -1485,36 +1509,24 @@ func (t *Transport) writeLoop(p *peer) {
 	if !timer.Stop() {
 		<-timer.C
 	}
-	var (
-		buffered  int       // bytes encoded since the last flush
-		held      int       // frames encoded since the last flush
-		holdBy    time.Time // earliest FlushBy among held hinted frames
-		holdSince time.Time // when the oldest held frame was encoded
-		mustFlush bool      // a held frame has no slack
-	)
+	var c coalescer
 	flush := func() bool {
 		err := p.fw.Flush()
 		t.flushes.Add(1)
 		p.statFlushes.Add(1)
-		if held > 1 {
-			t.coalesced.Add(uint64(held - 1))
-			p.statCoalesced.Add(uint64(held - 1))
+		if c.held > 1 {
+			t.coalesced.Add(uint64(c.held - 1))
+			p.statCoalesced.Add(uint64(c.held - 1))
 		}
-		if !holdBy.IsZero() && time.Now().After(holdBy) {
+		if !c.holdBy.IsZero() && time.Now().After(c.holdBy) {
 			t.lateFlushes.Add(1)
 		}
-		// Publish the tuner's operating point once per flush — cheap enough
-		// to keep off the per-frame path, fresh enough for heartbeats.
-		p.statBudget.Store(int64(p.tuner.budget()))
-		p.statHoldNs.Store(int64(p.tuner.hold()))
-		p.statSlackNs.Store(int64(p.tuner.slackNs))
-		buffered, held, mustFlush = 0, 0, false
-		holdBy, holdSince = time.Time{}, time.Time{}
+		c.flushed()
 		return err == nil
 	}
 	write := func(o outMsg) bool {
 		now := time.Now()
-		n, force, err := t.writeMsg(p, o)
+		n, viaGob, err := t.writeMsg(p, o)
 		if o.bcast != nil {
 			// Whether the bytes landed or the link just died, this
 			// destination is done with the shared frame.
@@ -1532,19 +1544,9 @@ func (t *Transport) writeLoop(p *peer) {
 				ReleaseMessage(o.m)
 			}
 		}
-		p.tuner.observe(now, n, o.flushBy)
 		p.statFrames.Add(1)
 		p.statBytes.Add(uint64(n))
-		buffered += n
-		held++
-		if holdSince.IsZero() {
-			holdSince = now
-		}
-		if force {
-			mustFlush = true
-		} else if holdBy.IsZero() || o.flushBy.Before(holdBy) {
-			holdBy = o.flushBy
-		}
+		c.add(now, n, o.flushBy, o.closes || viaGob)
 		return true
 	}
 	for {
@@ -1555,10 +1557,9 @@ func (t *Transport) writeLoop(p *peer) {
 			if !write(o) {
 				return
 			}
-			for held > 0 {
-				budget := p.tuner.budget()
+			for c.held > 0 {
 			drain:
-				for buffered < budget {
+				for c.buffered < flushBudget {
 					select {
 					case o = <-p.out:
 						if !write(o) {
@@ -1568,24 +1569,8 @@ func (t *Transport) writeLoop(p *peer) {
 						break drain
 					}
 				}
-				if mustFlush || buffered >= budget {
-					if !flush() {
-						return
-					}
-					continue
-				}
-				// Every held frame has slack: wait for company until the
-				// earliest deadline (minus a scheduling guard), capped by
-				// the adaptive maximum hold — and by the producer going
-				// idle: after companyGaps expected inter-arrival gaps with
-				// nothing new, more company is not coming and holding
-				// further only taxes the deadline the hint protects.
-				patience := time.Duration(companyGaps * p.tuner.gapNs)
-				if patience > 0 && patience < spinPatience {
-					// Burst-rate producer: a timer is too coarse for a
-					// sub-50µs window. Yield the processor a few times so
-					// a descheduled sender can finish enqueueing, then
-					// flush the burst as one frame train.
+				at, spin := c.flushAt()
+				if spin {
 					more := false
 					for i := 0; i < companySpins && !more; i++ {
 						runtime.Gosched()
@@ -1601,21 +1586,8 @@ func (t *Transport) writeLoop(p *peer) {
 					if more {
 						continue
 					}
-					if !flush() {
-						return
-					}
-					continue
 				}
-				until := holdBy.Add(-flushGuard)
-				if holdCap := holdSince.Add(p.tuner.hold()); holdCap.Before(until) {
-					until = holdCap
-				}
-				if patience > 0 {
-					if idleBy := p.tuner.last.Add(patience); idleBy.Before(until) {
-						until = idleBy
-					}
-				}
-				wait := time.Until(until)
+				wait := time.Until(at)
 				if wait <= 0 {
 					if !flush() {
 						return

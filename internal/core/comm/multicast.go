@@ -308,8 +308,9 @@ func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []R
 			firstErr = err
 		}
 	}
+	closes := m.IsWatermark()
 	sendSolo := func(name string) {
-		if err := t.send(name, outMsg{id: id, m: m, flushBy: hint.FlushBy}); err != nil {
+		if err := t.send(name, outMsg{id: id, m: m, flushBy: hint.FlushBy, closes: closes}); err != nil {
 			fail(err)
 		} else {
 			delivered++
@@ -467,7 +468,7 @@ func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []R
 
 	bf := newBroadcastFrame(sink.b, typed, int32(len(share)+len(relayPeers)))
 	for _, p := range share {
-		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy}
+		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy, closes: closes}
 		if err := t.sendShared(p, o); err != nil {
 			// The destination never took ownership: this reference is
 			// still the sender's to drop.
@@ -483,7 +484,7 @@ func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []R
 	// pairwise sends for their Cover; retained routes withhold the Cover
 	// instead (see RelayDest), deferring the suffix to the caller's replay.
 	for i, p := range relayPeers {
-		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy, relay: true, cover: relayDests[i].Cover}
+		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy, closes: closes, relay: true, cover: relayDests[i].Cover}
 		if err := t.sendShared(p, o); err != nil {
 			bf.release()
 			fail(err)
@@ -568,8 +569,9 @@ func (t *Transport) republish(bus *Bus, busPeers, peerNames []string, frame []by
 	}
 
 	bf := newBroadcastFrame(frame, typed, int32(len(share))+1)
+	closes := frameCloses(frame)
 	for _, p := range share {
-		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy}
+		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy, closes: closes}
 		if err := t.sendShared(p, o); err != nil {
 			bf.release()
 			fail(err)

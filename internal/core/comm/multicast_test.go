@@ -29,6 +29,7 @@ func newFanoutRig(t testing.TB, n int, opts ...func(i int) []Option) *fanoutRig 
 	}
 	t.Cleanup(func() { src.Close() })
 	rig.src = src
+	stop := make(chan struct{})
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("r%d", i)
 		ch := make(chan message.Message, 1024)
@@ -36,8 +37,12 @@ func newFanoutRig(t testing.TB, n int, opts ...func(i int) []Option) *fanoutRig 
 		if len(opts) > 0 {
 			extra = opts[0](i)
 		}
-		r, err := Listen(name, "127.0.0.1:0",
-			func(_ string, _ stream.ID, m message.Message) { ch <- m }, extra...)
+		r, err := Listen(name, "127.0.0.1:0", func(_ string, _ stream.ID, m message.Message) {
+			select {
+			case ch <- m:
+			case <-stop:
+			}
+		}, extra...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,6 +54,10 @@ func newFanoutRig(t testing.TB, n int, opts ...func(i int) []Option) *fanoutRig 
 		rig.got = append(rig.got, ch)
 		rig.names = append(rig.names, name)
 	}
+	// Registered last, so it runs first: a handler blocked on its full
+	// channel gives up before the cleanups above Close its transport, which
+	// waits for the read loop running that handler.
+	t.Cleanup(func() { close(stop) })
 	return rig
 }
 

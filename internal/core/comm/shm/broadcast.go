@@ -283,6 +283,14 @@ func (g *BroadcastGroup) acceptJoin(sock net.Conn) error {
 		return errors.New("shm: broadcast ring has no free reader slots")
 	}
 
+	// The member is listed before the reply goes out, so a reader whose
+	// JoinBroadcast returns is already in Members. Nothing writes to its
+	// socket meanwhile: data wakes go only to readers that parked, and a
+	// reader parks only after mapping the ring from the reply.
+	m := &busMember{name: string(nameBuf), slot: slot, sock: sock}
+	g.memMu.Lock()
+	g.members[slot] = m
+	g.memMu.Unlock()
 	reply := make([]byte, 0, 1+4+8+4+2+len(g.ringPath))
 	reply = append(reply, 1)
 	reply = binary.LittleEndian.AppendUint32(reply, uint32(slot))
@@ -291,15 +299,13 @@ func (g *BroadcastGroup) acceptJoin(sock net.Conn) error {
 	reply = binary.LittleEndian.AppendUint16(reply, uint16(len(g.ringPath)))
 	reply = append(reply, g.ringPath...)
 	if _, err := sock.Write(reply); err != nil {
+		g.memMu.Lock()
+		delete(g.members, slot)
+		g.memMu.Unlock()
 		g.br.freeSlot(slot)
 		return err
 	}
 	_ = sock.SetDeadline(time.Time{})
-
-	m := &busMember{name: string(nameBuf), slot: slot, sock: sock}
-	g.memMu.Lock()
-	g.members[slot] = m
-	g.memMu.Unlock()
 	g.wg.Add(1)
 	go g.memberLoop(m)
 	return nil

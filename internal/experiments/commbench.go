@@ -260,9 +260,9 @@ func benchSmallFrameSend1KB(b *testing.B) {
 // way an operator callback produces them (without it the out-queue itself
 // batches the whole burst and both variants degenerate to one identical
 // flush). With a zero hint every frame then flushes on queue drain — one
-// syscall per frame; a deadline hint lets the adaptive coalescer hold for
-// company bounded by the observed inter-arrival gap and put the burst on
-// the socket as a single frame train.
+// syscall per frame; a deadline hint lets the coalescer hold for company
+// until the 32 KB flush budget fills or the producer goes idle, and put the
+// burst on the socket as a single frame train.
 func benchBurstSend(hinted bool) func(b *testing.B) {
 	const burst = 32
 	return func(b *testing.B) {
