@@ -19,6 +19,7 @@ const (
 	modPath         = "github.com/erdos-go/erdos"
 	erdosPkgPath    = modPath + "/internal/core/erdos"
 	operatorPkgPath = modPath + "/internal/core/operator"
+	messagePkgPath  = modPath + "/internal/core/message"
 	commPkgPath     = modPath + "/internal/core/comm"
 	latticePkgPath  = modPath + "/internal/core/lattice"
 	streamPkgPath   = modPath + "/internal/core/stream"
@@ -35,6 +36,9 @@ type root struct {
 	body *ast.BlockStmt
 	// desc says how the function became a callback, for diagnostics.
 	desc string
+	// data marks a data callback: its third parameter carries the
+	// delivered payload.
+	data bool
 }
 
 // registrar describes one erdos registration call whose argument is a
@@ -45,18 +49,19 @@ type registrar struct {
 	name string
 	arg  int
 	desc string
+	data bool
 }
 
 var registrars = []registrar{
-	{erdosPkgPath, "Input", 2, "data callback (erdos.Input)"},
-	{erdosPkgPath, "OnWatermark", 0, "watermark callback (OpBuilder.OnWatermark)"},
-	{erdosPkgPath, "TimestampDeadline", 3, "deadline exception handler (OpBuilder.TimestampDeadline)"},
-	{erdosPkgPath, "FrequencyDeadline", 3, "watermark-insert observer (OpBuilder.FrequencyDeadline)"},
+	{erdosPkgPath, "Input", 2, "data callback (erdos.Input)", true},
+	{erdosPkgPath, "OnWatermark", 0, "watermark callback (OpBuilder.OnWatermark)", false},
+	{erdosPkgPath, "TimestampDeadline", 3, "deadline exception handler (OpBuilder.TimestampDeadline)", false},
+	{erdosPkgPath, "FrequencyDeadline", 3, "watermark-insert observer (OpBuilder.FrequencyDeadline)", false},
 }
 
 // specField marks operator.Spec-family struct fields that hold callbacks,
 // catching registrations that bypass the builder (composite literals and
-// direct field assignment).
+// direct field assignment). Spec.OnData is the one data callback.
 var specFields = map[[2]string]string{
 	{"Spec", "OnData"}:                    "data callback (operator.Spec.OnData)",
 	{"Spec", "OnWatermark"}:               "watermark callback (operator.Spec.OnWatermark)",
@@ -72,12 +77,12 @@ func callbackRoots(pass *Pass) []root {
 	seen := map[ast.Node]bool{}
 	var roots []root
 
-	add := func(expr ast.Expr, desc string) {
+	add := func(expr ast.Expr, desc string, data bool) {
 		switch e := ast.Unparen(expr).(type) {
 		case *ast.FuncLit:
 			if !seen[e] {
 				seen[e] = true
-				roots = append(roots, root{node: e, body: e.Body, desc: desc})
+				roots = append(roots, root{node: e, body: e.Body, desc: desc, data: data})
 			}
 		case *ast.Ident, *ast.SelectorExpr:
 			id := rightmostIdent(e)
@@ -90,7 +95,7 @@ func callbackRoots(pass *Pass) []root {
 			}
 			if decl := decls[fn]; decl != nil && decl.Body != nil && !seen[decl] {
 				seen[decl] = true
-				roots = append(roots, root{node: decl, body: decl.Body, desc: desc})
+				roots = append(roots, root{node: decl, body: decl.Body, desc: desc, data: data})
 			}
 		}
 	}
@@ -105,7 +110,7 @@ func callbackRoots(pass *Pass) []root {
 				}
 				for _, r := range registrars {
 					if fn.Pkg().Path() == r.pkg && fn.Name() == r.name && r.arg < len(n.Args) {
-						add(n.Args[r.arg], r.desc)
+						add(n.Args[r.arg], r.desc, r.data)
 					}
 				}
 			case *ast.CompositeLit:
@@ -123,7 +128,7 @@ func callbackRoots(pass *Pass) []root {
 						continue
 					}
 					if desc, ok := specFields[[2]string{tn.Name(), key.Name}]; ok {
-						add(kv.Value, desc)
+						add(kv.Value, desc, key.Name == "OnData")
 					}
 				}
 			case *ast.AssignStmt:
@@ -144,7 +149,7 @@ func callbackRoots(pass *Pass) []root {
 						continue
 					}
 					if desc, ok := specFields[[2]string{tn.Name(), sel.Sel.Name}]; ok {
-						add(n.Rhs[i], desc)
+						add(n.Rhs[i], desc, sel.Sel.Name == "OnData")
 					}
 				}
 			}

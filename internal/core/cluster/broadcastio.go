@@ -142,7 +142,8 @@ func (n *Node) syncBusReaders(sched Schedule) {
 }
 
 // busReadLoop decodes frames off one producer's broadcast ring and
-// injects the streams this node consumes. It exits when the ring dies —
+// injects the streams this node consumes; the worker takes each decoded
+// payload over and recycles it. It exits when the ring dies —
 // producer gone, node closing, or this reader evicted for lagging — and
 // detaches, at which point the producer's MemberSet no longer lists us
 // and its very next fanout falls back to our pairwise link.

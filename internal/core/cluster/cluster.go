@@ -1194,6 +1194,11 @@ func WithHostLocality(hostID, dir string) JoinOption {
 // leader starts the cluster. When the schedule carries a heartbeat period
 // the node stays attached to the leader: it heartbeats with lazy state
 // checkpoints and applies reschedule deltas after failures.
+//
+// Join returns with the data-plane mesh complete: every node dials its half
+// of the mesh before it reports ready, a dial returns only once the acceptor
+// has registered the link, and the leader starts no node before all are
+// ready (a late joiner, before the existing workers have acked its delta).
 func Join(addr, name string, g *graph.Graph, opts worker.Options, jopts ...JoinOption) (*Node, error) {
 	cfg := joinCfg{dialAttempts: defaultDialAttempts, dialBase: defaultDialBase}
 	for _, o := range jopts {
@@ -1265,8 +1270,15 @@ func Join(addr, name string, g *graph.Graph, opts worker.Options, jopts ...JoinO
 			n.bus = comm.NewBus(bg.Sink(), busMaxBytes(b))
 		}
 	}
+	// Inject takes over a payload the read loop decoded into a pooled buffer
+	// (the message comes marked Owned; a value from an inproc link never
+	// is), and recycles it when the local callbacks are done. The same holds
+	// at the two other receive sites: busReadLoop and republishRelay. The
+	// handler runs on transport goroutines started before the worker exists;
+	// workerSet publishes n.Worker to them.
+	var workerSet atomic.Bool
 	tr, err := comm.Listen(name, "127.0.0.1:0", func(_ string, id stream.ID, m message.Message) {
-		if n.Worker != nil {
+		if workerSet.Load() {
 			_ = n.Worker.Inject(id, m)
 		}
 	}, commOpts...)
@@ -1304,6 +1316,7 @@ func Join(addr, name string, g *graph.Graph, opts worker.Options, jopts ...JoinO
 		return fail(err)
 	}
 	n.Worker = w
+	workerSet.Store(true)
 
 	// The republish loop runs for every node, resident or not: relay
 	// envelopes can arrive as soon as peers dial us.
@@ -1558,8 +1571,9 @@ func (n *Node) republishRelay(it relayItem) {
 	}
 	// A self-consuming relay decodes before the republish: RepublishWithHint
 	// takes ownership of the frame the decoder reads from (and may recycle
-	// it). A relay that only forwards never decodes at all — the verbatim
-	// bytes go straight back out.
+	// it), while the decoded payload is a pooled copy of its own, marked
+	// Owned for the worker. A relay that only forwards never decodes at all
+	// — the verbatim bytes go straight back out.
 	var m message.Message
 	injectSelf := false
 	if selfConsumes && n.Worker != nil {

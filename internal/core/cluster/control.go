@@ -806,9 +806,11 @@ func (n *Node) applyReschedule(rm rescheduleMsg) {
 
 	// Membership-change reschedules (join, drain, migrate, submit) carry
 	// Dead == "": nothing to disconnect, and the schedule may name tenant
-	// graphs this node has not materialized yet.
+	// graphs this node has not materialized yet. A dead peer whose link
+	// the read loop already dropped is the usual case, so an unknown-peer
+	// error only means there was nothing left to cut.
 	if rm.Dead != "" {
-		n.Transport.Disconnect(rm.Dead)
+		_ = n.Transport.Disconnect(rm.Dead)
 	}
 	n.syncTenants(rm.Schedule)
 

@@ -238,7 +238,9 @@ func TestFailoverRingSeverTCPFallback(t *testing.T) {
 	// Sever the ring from the accept side; the dialer (w2, the larger
 	// name) must notice on a heartbeat tick, mark the ring suspect, and
 	// come back over TCP.
-	nodes[0].Transport.Disconnect("w2")
+	if err := nodes[0].Transport.Disconnect("w2"); err != nil {
+		t.Fatal(err)
+	}
 	// Wait until both ends agree the link is back over TCP, and stably so
 	// (two observations a heartbeat apart): mid-repair there are transient
 	// windows where one side holds a conn the other has already dropped,

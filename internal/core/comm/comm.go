@@ -597,13 +597,18 @@ func (t *Transport) sendHello(enc *gob.Encoder, fw FrameSink) error {
 	return fw.Flush()
 }
 
-// Disconnect drops the connection to the named peer, if any. It is used
-// when the leader reports a peer dead: pending writes are abandoned and a
-// later Dial/DialBackoff may re-establish the pair.
-func (t *Transport) Disconnect(name string) {
-	if p := (*t.peers.Load())[name]; p != nil {
-		t.dropPeer(p)
+// Disconnect drops the connection to the named peer. It is used when the
+// leader reports a peer dead: pending writes are abandoned and a later
+// Dial/DialBackoff may re-establish the pair. Disconnecting a peer this
+// transport has no link to is an error, not a no-op: the link may simply
+// not be registered yet, and would then outlive the call.
+func (t *Transport) Disconnect(name string) error {
+	p := (*t.peers.Load())[name]
+	if p == nil {
+		return fmt.Errorf("comm: %s: disconnect %q: no such peer", t.name, name)
 	}
+	t.dropPeer(p)
+	return nil
 }
 
 // dropPeer removes p from the peer table (if it is still the registered
@@ -988,6 +993,8 @@ func (t *Transport) valueLoop(p *peer) {
 		}
 		t.received.Add(1)
 		if t.handler != nil {
+			// A value is shared with its sender, so it is never owned.
+			m.Owned = false
 			t.handler(p.name, id, m)
 		}
 	}
@@ -1074,8 +1081,9 @@ func writeTypedFrame(fw FrameSink, id stream.ID, m message.Message, codecID uint
 }
 
 // readRawFrame decodes the body of a tagRaw frame (the tag byte has been
-// consumed). The payload comes from the size-classed pool; handlers that
-// fully consume it may RecyclePayload it, otherwise it is GC'd as before.
+// consumed). The payload comes from the size-classed pool and the message
+// is marked Owned: nothing else references the buffer, so the receiving
+// worker recycles it once its callbacks are done (see pool.go).
 func readRawFrame(fr FrameSource) (stream.ID, message.Message, error) {
 	sid, err := binary.ReadUvarint(fr)
 	if err != nil {
@@ -1105,7 +1113,7 @@ func readRawFrame(fr FrameSource) (stream.ID, message.Message, error) {
 			RecyclePayload(payload)
 			return 0, message.Message{}, err
 		}
-		m.Payload = payload
+		m.Payload, m.Owned = payload, true
 	}
 	return stream.ID(sid), m, nil
 }

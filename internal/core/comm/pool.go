@@ -6,13 +6,20 @@
 //   - typed-frame bodies are provably transient (codecs must copy anything
 //     they keep — see Codec.Unmarshal), so the read loop recycles them as
 //     soon as the body is decoded;
-//   - raw []byte payloads escape into handlers, so ownership is explicit:
-//     handlers that fully consume a payload call RecyclePayload, and
-//     senders that relinquish a pooled buffer use Transport.SendRelease,
+//   - raw []byte payloads escape into handlers, so the decoded message is
+//     marked Owned. The worker runtime, not the operator, owns such a
+//     buffer once it is injected: it counts the local callbacks the buffer
+//     was delivered to and recycles it when the last one returns, unless a
+//     callback retained it (Context.Retain) or sent it onward, which pins it
+//     for the garbage collector. The contract for a callback is the one
+//     Codec.Unmarshal has: a delivered []byte is valid until the callback
+//     returns;
+//   - senders that relinquish a pooled buffer use Transport.SendRelease,
 //     which recycles it once the frame is on the wire.
 //
-// Pooling is safe-by-default: a payload that is never recycled is simply
-// garbage-collected, exactly as before.
+// Pooling is safe-by-default: a payload that is never recycled — a value
+// delivered over inproc://, a handler that keeps what it receives — is
+// simply garbage-collected, exactly as before.
 package comm
 
 import (
@@ -72,8 +79,9 @@ func AcquirePayload(n int) []byte {
 
 // RecyclePayload returns a buffer obtained from AcquirePayload to its size
 // class. Buffers with a capacity that is not one of the pool's classes
-// (including any slice not from AcquirePayload) are silently dropped, so
-// calling it on a foreign []byte is harmless. The caller must not touch the
+// (including any slice not from AcquirePayload) are silently dropped. A
+// slice from elsewhere whose capacity happens to be a class size would be
+// taken, so only code that owns b may call this, and must not touch the
 // slice afterwards.
 func RecyclePayload(b []byte) {
 	c := cap(b)
@@ -89,8 +97,9 @@ func RecyclePayload(b []byte) {
 }
 
 // ReleaseMessage recycles m's payload if it is a pooled []byte; other
-// payload kinds are untouched. Handlers that fully consume a raw frame can
-// call this to return the body to the pool.
+// payload kinds are untouched. Transport-level handlers that fully consume
+// a raw frame themselves, without injecting it into a worker, can call this
+// to return the body to the pool.
 func ReleaseMessage(m message.Message) {
 	if b, ok := m.Payload.([]byte); ok {
 		RecyclePayload(b)

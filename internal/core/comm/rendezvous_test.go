@@ -50,7 +50,14 @@ func TestDialRegistersBothEnds(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("acceptor's send never reached the dialer")
 			}
-			a.Disconnect("b")
+			if err := a.Disconnect("b"); err != nil {
+				t.Fatal(err)
+			}
+			// The link is gone from the acceptor's table at once, so a
+			// second Disconnect names an unknown peer.
+			if err := a.Disconnect("b"); err == nil {
+				t.Fatal("Disconnect of an unknown peer returned nil")
+			}
 			deadline := time.Now().Add(5 * time.Second)
 			for len(b.Peers()) != 0 {
 				if time.Now().After(deadline) {

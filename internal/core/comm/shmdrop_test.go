@@ -27,7 +27,9 @@ func TestShmDisconnectPropagates(t *testing.T) {
 	if err := b.Send("a", stream.NewID(), message.Data(timestamp.New(1), []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
-	a.Disconnect("b")
+	if err := a.Disconnect("b"); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		if len(b.Peers()) == 0 {

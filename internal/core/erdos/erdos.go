@@ -145,6 +145,13 @@ func (g *Graph) Operator(name string) *OpBuilder {
 // Input registers s as the next input of b's operator and binds fn to its
 // data messages. fn may be nil for inputs consumed only via the watermark
 // callback. It returns the input's positional index.
+//
+// A []byte value delivered to fn is valid until fn returns, the contract
+// Codec.Unmarshal has: the runtime recycles a payload it received from the
+// transport once every local callback it reached has returned. fn may send
+// the value (or a subslice) onward with ctx.Send, which keeps it alive for
+// the receivers; to keep it otherwise, fn copies it, or calls ctx.Retain
+// and releases it when done.
 func Input[T any](b *OpBuilder, s Stream[T], fn func(ctx *Context, t Timestamp, v T)) int {
 	idx := len(b.spec.Inputs)
 	b.spec.Inputs = append(b.spec.Inputs, s.id)

@@ -25,12 +25,20 @@ const (
 // The returned bool reports whether the accurate version won. The runtime
 // automatically prioritizes the higher-ĉ messages downstream, so consumers
 // transparently compute on the best available input.
+//
+// accurate may read the callback's delivered payload: Speculate retains it
+// until accurate returns, because an abandoned accurate run outlives the
+// callback.
 func Speculate[T any](ctx *Context, out int, fast, accurate func() T) (T, bool) {
 	fastRes := fast()
 	_ = ctx.Send(out, ctx.Timestamp.WithCoordinates(CoarseResult), fastRes)
 
 	accCh := make(chan T, 1)
-	go func() { accCh <- accurate() }()
+	release := ctx.Retain()
+	go func() {
+		defer release()
+		accCh <- accurate()
+	}()
 
 	var expire <-chan time.Time
 	if _, abs, ok := ctx.Deadline(); ok {

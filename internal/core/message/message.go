@@ -49,6 +49,13 @@ type Message struct {
 	// Payload is nil for watermark messages. For data messages it holds a
 	// value of the stream's element type.
 	Payload any
+	// Owned marks a data message whose []byte payload the transport's
+	// receive path decoded into a pooled buffer that nothing else
+	// references. Only that path sets it. Worker.Inject takes such a buffer
+	// over and returns it to the pool once the last local callback it was
+	// delivered to has returned; callbacks and subscribers never see the
+	// mark.
+	Owned bool
 }
 
 // Data returns a data message Mt with payload p and timestamp t.

@@ -133,6 +133,7 @@ type Context struct {
 	abs       time.Time
 	hasDL     bool
 	gate      *Gate
+	payload   retainer
 }
 
 // Output is the runtime-provided hook for sending on one output stream.
@@ -141,12 +142,20 @@ type Output interface {
 	StreamID() stream.ID
 }
 
+// retainer is the runtime's hold on a callback's delivered payload; it
+// backs Context.Retain.
+type retainer = interface {
+	Retain() (release func())
+}
+
 // NewContext assembles a Context; it is exported for the worker runtime and
-// for tests that drive callbacks directly.
-func NewContext(op string, t timestamp.Timestamp, stateView any, outputs []Output, rel time.Duration, abs time.Time, hasDL bool, gate *Gate) *Context {
+// for tests that drive callbacks directly. payload is the runtime's hold on
+// the callback's delivered payload, nil when it needs no keeping alive.
+func NewContext(op string, t timestamp.Timestamp, stateView any, outputs []Output, rel time.Duration, abs time.Time, hasDL bool, gate *Gate, payload retainer) *Context {
 	return &Context{
 		Timestamp: t, Operator: op, stateView: stateView,
 		outputs: outputs, rel: rel, abs: abs, hasDL: hasDL, gate: gate,
+		payload: payload,
 	}
 }
 
@@ -154,6 +163,22 @@ func NewContext(op string, t timestamp.Timestamp, stateView any, outputs []Outpu
 // one timestamp share the view; it is committed when the timestamp's
 // watermark is released.
 func (c *Context) State() any { return c.stateView }
+
+// Retain keeps the payload delivered to this data callback valid past the
+// callback's return, until release is called. The runtime owns a []byte
+// payload the transport received and recycles it when the last callback it
+// was delivered to returns; a callback that hands the payload to work
+// outliving it — a goroutine, a timer — calls Retain first and has that
+// work call release when done. Sending the payload onward with Send needs
+// no Retain: a sent buffer is never recycled. Call Retain during the
+// callback; release is idempotent, and both are no-ops for payloads the
+// runtime does not own.
+func (c *Context) Retain() (release func()) {
+	if c.payload == nil {
+		return func() {}
+	}
+	return c.payload.Retain()
+}
 
 // Deadline returns the relative deadline Di allocated to this timestamp,
 // the absolute wall-clock instant it expires, and whether a deadline is

@@ -47,7 +47,7 @@ func TestContextSendAndGating(t *testing.T) {
 	out := &recOutput{id: 1}
 	gate := NewGate()
 	ts := timestamp.New(4)
-	ctx := NewContext("op", ts, "state", []Output{out}, 50*time.Millisecond, time.Now(), true, gate)
+	ctx := NewContext("op", ts, "state", []Output{out}, 50*time.Millisecond, time.Now(), true, gate, nil)
 
 	if ctx.State().(string) != "state" {
 		t.Fatal("state lost")
@@ -85,7 +85,7 @@ func TestContextSendAndGating(t *testing.T) {
 }
 
 func TestContextOutputRangePanics(t *testing.T) {
-	ctx := NewContext("op", timestamp.New(0), nil, nil, 0, time.Time{}, false, nil)
+	ctx := NewContext("op", timestamp.New(0), nil, nil, 0, time.Time{}, false, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on out-of-range output")
@@ -135,7 +135,7 @@ func TestGateIdempotentAndDone(t *testing.T) {
 }
 
 func TestNilGateContext(t *testing.T) {
-	ctx := NewContext("op", timestamp.New(0), nil, []Output{&recOutput{}}, 0, time.Time{}, false, nil)
+	ctx := NewContext("op", timestamp.New(0), nil, []Output{&recOutput{}}, 0, time.Time{}, false, nil, nil)
 	if ctx.Aborted() {
 		t.Fatal("nil gate must read as not aborted")
 	}

@@ -121,6 +121,10 @@ type Worker struct {
 	handlerMu     sync.Mutex
 	handlerDelays []time.Duration
 
+	// leases tracks the transport-received payloads this worker owns until
+	// their last local callback returns (lease.go).
+	leases leaseTable
+
 	// extFrontiers tracks received watermarks for subscription-only
 	// consumers (extraction points): streams delivered here for the
 	// application, not for any local operator. Without an operator runtime
@@ -254,23 +258,42 @@ func (w *Worker) Broadcaster(id stream.ID) (*stream.Broadcaster, bool) {
 }
 
 // Inject sends m on stream id, as the application (ingest streams) or the
-// comm layer (messages from remote writers) would.
+// comm layer (messages from remote writers) would. When the transport
+// marked m Owned, the worker takes its []byte payload over: the inject call
+// holds it while the subscribers run, each data callback queued for it
+// holds it until that callback returns, and the last of them returns it to
+// the pool. Any other payload stays the caller's.
 func (w *Worker) Inject(id stream.ID, m message.Message) error {
 	b, ok := w.bc(id)
 	if !ok {
 		return fmt.Errorf("worker %q: inject on unknown stream %d", w.name, id)
 	}
-	return b.Send(m)
+	if !m.Owned {
+		return b.Send(m)
+	}
+	buf, _ := m.Payload.([]byte)
+	l := w.leases.open(buf)
+	err := b.Send(m)
+	w.leases.release(l)
+	return err
 }
 
 // Subscribe registers fn to observe every message on stream id (extract
-// streams, the comm layer's remote forwarding, instrumentation).
+// streams, the comm layer's remote forwarding, instrumentation). fn runs
+// synchronously with the send, and a []byte payload is valid for the
+// duration of the call: the worker may recycle a payload it received from
+// the transport as soon as the local callbacks are done with it. A
+// subscriber that keeps the payload, hands it to another goroutine or
+// injects it again must copy it.
 func (w *Worker) Subscribe(id stream.ID, fn func(message.Message)) error {
 	b, ok := w.bc(id)
 	if !ok {
 		return fmt.Errorf("worker %q: subscribe on unknown stream %d", w.name, id)
 	}
-	b.Subscribe(stream.SubscriberFunc(func(_ stream.ID, m message.Message) { fn(m) }))
+	b.Subscribe(stream.SubscriberFunc(func(_ stream.ID, m message.Message) {
+		m.Owned = false
+		fn(m)
+	}))
 	return nil
 }
 
@@ -301,11 +324,13 @@ func (w *Worker) Quiesce() { w.lat.Quiesce() }
 // WaitHandlers waits for in-flight deadline exception handlers.
 func (w *Worker) WaitHandlers() { w.wg.Wait() }
 
-// Stop tears the worker down.
+// Stop tears the worker down. Payloads still leased to callbacks the
+// lattice dropped are left to the garbage collector.
 func (w *Worker) Stop() {
 	w.mon.Stop()
 	w.lat.Stop()
 	w.wg.Wait()
+	w.leases.close()
 }
 
 // Stats returns a snapshot of the worker's counters.
@@ -806,22 +831,25 @@ func (rt *opRuntime) onReceive(i int, m message.Message) {
 	for _, tr := range rt.ttTrackers {
 		tr.ObserveReceive(m.Timestamp, false)
 	}
-	var run func()
-	if rt.spec.OnData != nil && !tw.handledAbort {
-		input := i
-		msg := m
-		l := m.Timestamp.L
-		run = func() { rt.runData(l, input, msg) }
-	}
+	queue := rt.spec.OnData != nil && !tw.handledAbort
 	dl := rt.deadlineLocked(tw)
 	rt.mu.Unlock()
 	rt.w.countDelivered()
-	if run != nil {
-		if rt.wrap != nil {
-			run = rt.wrap(run)
-		}
-		rt.submit(lattice.KindMessage, m.Timestamp, dl, run)
+	if !queue {
+		return
 	}
+	// The queued callback holds its own reference to an owned payload.
+	var ls *lease
+	if m.Owned {
+		ls = rt.w.leases.ref(m.Payload)
+		m.Owned = false
+	}
+	input, l := i, m.Timestamp.L
+	run := func() { rt.runData(l, input, m, ls) }
+	if rt.wrap != nil {
+		run = rt.wrap(run)
+	}
+	rt.submit(lattice.KindMessage, m.Timestamp, dl, run)
 }
 
 // deadlineLocked reports the absolute deadline Di (nanoseconds on the
@@ -856,8 +884,11 @@ func (rt *opRuntime) submit(kind lattice.Kind, ts timestamp.Timestamp, dl int64,
 	rt.w.lat.SubmitDeadline(rt.q, kind, ts, dl, run)
 }
 
-// runData executes the data callback for one message.
-func (rt *opRuntime) runData(l uint64, input int, m message.Message) {
+// runData executes the data callback for one message, then drops the
+// callback's reference to an owned payload — also when the callback is
+// skipped because the operator retired or the timestamp was aborted.
+func (rt *opRuntime) runData(l uint64, input int, m message.Message, ls *lease) {
+	defer rt.w.leases.release(ls)
 	if rt.retired.Load() {
 		return
 	}
@@ -867,7 +898,7 @@ func (rt *opRuntime) runData(l uint64, input int, m message.Message) {
 		rt.mu.Unlock()
 		return
 	}
-	ctx := rt.contextLocked(tw)
+	ctx := rt.contextLocked(tw, ls)
 	rt.mu.Unlock()
 	rt.spec.OnData(ctx, input, m)
 }
@@ -921,7 +952,7 @@ func (rt *opRuntime) runWatermark(ts timestamp.Timestamp) {
 		rt.mu.Unlock()
 		return
 	}
-	ctx := rt.contextLocked(tw)
+	ctx := rt.contextLocked(tw, nil)
 	rt.mu.Unlock()
 
 	if rt.spec.OnWatermark != nil {
@@ -1003,8 +1034,10 @@ func (rt *opRuntime) insertWatermark(fs operator.FrequencyDeadlineSpec, last tim
 	rt.onReceive(fs.Input, message.Watermark(next))
 }
 
-// contextLocked builds the callback Context for tw. Caller holds rt.mu.
-func (rt *opRuntime) contextLocked(tw *timeWork) *operator.Context {
+// contextLocked builds the callback Context for tw; ls is the lease on the
+// callback's payload, nil when the worker does not own it. Caller holds
+// rt.mu.
+func (rt *opRuntime) contextLocked(tw *timeWork, ls *lease) *operator.Context {
 	view := rt.viewLocked(tw)
 	var rel time.Duration
 	var abs time.Time
@@ -1018,7 +1051,11 @@ func (rt *opRuntime) contextLocked(tw *timeWork) *operator.Context {
 		}
 		hasDL = true
 	}
-	return operator.NewContext(rt.spec.Name, tw.ts, view, rt.outs, rel, abs, hasDL, tw.gate)
+	var payload interface{ Retain() func() } // a nil *lease must stay a nil interface
+	if ls != nil {
+		payload = ls
+	}
+	return operator.NewContext(rt.spec.Name, tw.ts, view, rt.outs, rel, abs, hasDL, tw.gate, payload)
 }
 
 // viewLocked lazily creates the shared working view for a timestamp.
@@ -1119,8 +1156,10 @@ type gatedOutput struct {
 	index int
 }
 
-// Send implements operator.Output.
+// Send implements operator.Output. A payload sent onward is pinned: the
+// worker never recycles a buffer that now travels downstream.
 func (o *gatedOutput) Send(m message.Message) error {
+	o.rt.w.leases.pin(m.Payload)
 	if err := o.b.Send(m); err != nil {
 		return err
 	}
@@ -1139,8 +1178,9 @@ type rawOutput struct {
 	index int
 }
 
-// Send implements operator.Output.
+// Send implements operator.Output, pinning the payload like gatedOutput.
 func (o *rawOutput) Send(m message.Message) error {
+	o.rt.w.leases.pin(m.Payload)
 	if err := o.b.Send(m); err != nil {
 		return err
 	}
