@@ -165,25 +165,31 @@ func TestBroadcastRingClusterFanout(t *testing.T) {
 		}
 	}
 
-	// Phase 1: the happy path — fanout rides the ring.
-	inject(1, 20)
-	await(20)
+	// Phase 1: the happy path — fanout rides the ring. Enough volume to
+	// lap it, and a writer that parks without spinning evicts no reader
+	// that keeps up.
+	const lap = 620 // ~1.2MB of fan payload through a 1MB ring
+	inject(1, lap)
+	await(lap)
 	if frames, _ := nodes[0].bus.Stats(); frames == 0 {
 		t.Fatal("fanout ran but the broadcast ring carried no frames")
 	}
+	if ev := nodes[0].congestionReport().RelayRingEvictions; ev != 0 {
+		t.Fatalf("%d broadcast-ring evictions in steady state, want 0", ev)
+	}
 
-	// Phase 2: a lagging reader attaches and never reads. Enough volume
-	// to lap the ring must get it evicted rather than stall the cluster,
-	// while the real consumers keep receiving everything.
+	// Phase 2: a lagging reader attaches and never reads. Another lap
+	// must get it evicted rather than stall the cluster, while the real
+	// consumers keep receiving everything.
 	lagger, err := shm.JoinBroadcast(nodes[0].bgroup.Addr(), "lagger")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lagger.Close()
-	const fill = 620 // ~1.2MB of fan payload through a 1MB ring
-	inject(21, fill)
+	const fill = 2 * lap
+	inject(lap+1, fill)
 	await(fill)
-	if ev := nodes[0].bgroup.Evictions(); ev == 0 {
+	if ev := nodes[0].congestionReport().RelayRingEvictions; ev == 0 {
 		t.Fatal("lagging reader was never evicted")
 	}
 	if m := nodes[0].bgroup.MemberSet(); m["lagger"] {

@@ -206,27 +206,26 @@ func TestHeartbeatPayloadShrinksAtSteadyState(t *testing.T) {
 		}
 	}
 
-	// Track the fattest heartbeat w2 sends while the leader catches up to
-	// the newest committed version.
+	// Wait for the leader to retain the newest committed version, and for
+	// w2 to record the fat heartbeat that carried it (the node notes a
+	// heartbeat's size only after the leader may already have read it).
 	var peak uint64
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if b := nodes[1].HeartbeatBytes(); b > peak {
-			peak = b
-		}
+		peak = nodes[1].HeartbeatPeakBytes()
 		l.mu.Lock()
 		cp, ok := l.checkpoints["w2"]["blob"]
 		l.mu.Unlock()
-		if ok && cp.L == versions {
+		if ok && cp.L == versions && peak >= 8<<10 {
 			break
 		}
 		if time.Now().After(deadline) {
+			if ok && cp.L == versions {
+				t.Fatalf("peak heartbeat only %dB — fat checkpoints never shipped?", peak)
+			}
 			t.Fatalf("leader never retained version %d (have %+v)", versions, ok)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if peak < 8<<10 {
-		t.Fatalf("peak heartbeat only %dB — fat checkpoints never shipped?", peak)
 	}
 
 	// Steady state: no new commits, so after the ack round-trip every

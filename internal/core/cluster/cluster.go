@@ -159,6 +159,10 @@ type CongestionReport struct {
 	// values mark the worker as a fanout trunk for placement scoring.
 	RelayRepublished uint64
 	RelayRingSpills  uint64
+	// RelayRingEvictions is the cumulative count of same-host readers its
+	// broadcast ring cut loose for lagging past EvictAfter; each one fell
+	// back to its pairwise link. Zero at steady state.
+	RelayRingEvictions uint64
 }
 
 // Score collapses a report into a single placement-ranking pressure value:
@@ -954,8 +958,11 @@ type Node struct {
 	// or below it, so unchanged state versions ship exactly once.
 	ckAcked map[string]uint64
 	// hbBytes is the encoded size of the most recent heartbeat, measured on
-	// the control stream — the observable the delta machinery shrinks.
+	// the control stream — the observable the delta machinery shrinks —
+	// and hbPeak the largest so far. The heartbeat loop is their only
+	// writer.
 	hbBytes atomic.Uint64
+	hbPeak  atomic.Uint64
 	// ctrlOut counts bytes written to the control stream (written only
 	// under encMu once the heartbeat loop is running).
 	ctrlOut *countingWriter
@@ -1022,6 +1029,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // heartbeat. Delta shipping shrinks it to a small fixed envelope at steady
 // state, independent of operator state size.
 func (n *Node) HeartbeatBytes() uint64 { return n.hbBytes.Load() }
+
+// HeartbeatPeakBytes reports the encoded size of this node's largest
+// heartbeat so far, so a reader need not sample HeartbeatBytes at the
+// right moment to see a fat one.
+func (n *Node) HeartbeatPeakBytes() uint64 { return n.hbPeak.Load() }
 
 // fwdState is one locally-produced stream's forwarding state. Its mutex
 // serializes live forwarding with reschedule-time replay, so a retained

@@ -544,6 +544,7 @@ func (n *Node) congestionReport() CongestionReport {
 		if sc, ok := n.bgroup.Sink().(comm.SpillCounter); ok {
 			r.RelayRingSpills = sc.Spills()
 		}
+		r.RelayRingEvictions = n.bgroup.Evictions()
 	}
 	return r
 }
@@ -576,8 +577,12 @@ func (n *Node) heartbeatLoop(period time.Duration) {
 		n.encMu.Lock()
 		before := n.ctrlOut.n
 		err := n.enc.Encode(ctrlMsg{M: hb}) //erdos:allow lockhold encMu exists to serialize writers on the single control stream
-		n.hbBytes.Store(n.ctrlOut.n - before)
+		size := n.ctrlOut.n - before
 		n.encMu.Unlock()
+		n.hbBytes.Store(size)
+		if size > n.hbPeak.Load() {
+			n.hbPeak.Store(size)
+		}
 		if err != nil {
 			return
 		}

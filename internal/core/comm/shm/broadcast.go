@@ -337,10 +337,14 @@ func (g *BroadcastGroup) memberLoop(m *busMember) {
 			g.memMu.Unlock()
 			g.br.freeSlot(m.slot)
 			// The departed reader's head no longer bounds reclaim;
-			// unblock a writer that was waiting on it.
-			select {
-			case g.spaceWake <- struct{}{}:
-			default:
+			// unblock a writer that was waiting on it the way a
+			// reader's release does (park's waker half): signal only
+			// if the swap finds the park word set.
+			if g.br.wrPark.Swap(0) != 0 {
+				select {
+				case g.spaceWake <- struct{}{}:
+				default:
+				}
 			}
 			m.sock.Close()
 			return
@@ -359,60 +363,46 @@ func (g *BroadcastGroup) wakeMember(slot int) {
 }
 
 // waitSpace blocks until the slowest active reader frees enough ring
-// space, evicting it if it stays the bottleneck past EvictAfter. Called
-// with the publish lock held (sink ops own it), which is exactly what
-// evictSlowest requires.
+// space, evicting it each time it stays the bottleneck for EvictAfter.
+// The eviction timer is policy, not a poll, and exists only while the
+// writer is parked. Called with the publish lock held (sink ops own it),
+// which is exactly what evictSlowest requires.
 func (g *BroadcastGroup) waitSpace(need uint64) error {
 	br := g.br
-	for i := 0; i < spinYields; i++ {
-		if br.minHead(br.tail.Load()) >= need {
-			return nil
-		}
-		runtime.Gosched()
+	ready := func() bool {
+		return br.minHead(br.tail.Load()) >= need || br.closed.Load() != 0
+	}
+	if ready() {
+		return nil
 	}
 	evictAfter := g.EvictAfter
 	if evictAfter <= 0 {
 		evictAfter = DefaultEvictAfter
 	}
-	poll := time.NewTimer(parkPoll)
-	defer poll.Stop()
 	evict := time.NewTimer(evictAfter)
 	defer evict.Stop()
 	for {
-		br.wrPark.Store(1)
-		if br.minHead(br.tail.Load()) >= need {
-			br.wrPark.Store(0)
+		park(br.wrPark, g.spaceWake, g.dead, evict.C, ready)
+		switch {
+		case br.minHead(br.tail.Load()) >= need:
 			return nil
-		}
-		if br.closed.Load() != 0 {
+		case br.closed.Load() != 0:
 			return errRingClosed
 		}
-		select {
-		case <-g.dead:
-			return errRingClosed
-		default:
-		}
-		select {
-		case <-g.spaceWake:
-		case <-g.dead:
-		case <-poll.C:
-			poll.Reset(parkPoll)
-		case <-evict.C:
-			if slot, ok := br.evictSlowest(); ok {
-				g.evictions.Add(1)
-				g.memMu.Lock()
-				m := g.members[slot]
-				g.memMu.Unlock()
-				if m != nil {
-					// memberLoop sees the close, frees the slot, and
-					// signals spaceWake; the reader surfaces ErrEvicted.
-					m.sock.Close()
-				} else {
-					g.br.freeSlot(slot)
-				}
+		if slot, ok := br.evictSlowest(); ok {
+			g.evictions.Add(1)
+			g.memMu.Lock()
+			m := g.members[slot]
+			g.memMu.Unlock()
+			if m != nil {
+				// memberLoop sees the close, frees the slot, and
+				// wakes the writer; the reader surfaces ErrEvicted.
+				m.sock.Close()
+			} else {
+				g.br.freeSlot(slot)
 			}
-			evict.Reset(evictAfter)
 		}
+		evict.Reset(evictAfter)
 	}
 }
 
@@ -550,51 +540,23 @@ func (r *BusReader) markDead() {
 	r.deadOnce.Do(func() { close(r.dead) })
 }
 
-// waitData blocks until the writer publishes past pos: bounded spin,
-// then park on this reader's slot flag with the recheck protocol and a
-// safety poll. Eviction (slot state flipped, or the socket severed by
-// the producer) surfaces as ErrEvicted/EOF.
+// waitData blocks until the writer publishes past pos. A closed group
+// surfaces as io.EOF; eviction (slot state flipped, or the socket
+// severed by the producer) as ErrEvicted or io.EOF.
 func (r *BusReader) waitData(pos uint64) error {
 	br := r.br
 	slot := r.rd.slot
-	for i := 0; i < spinYields; i++ {
-		if br.tail.Load() > pos {
-			return nil
-		}
-		runtime.Gosched()
+	park(br.slotPark(slot), r.dataWake, r.dead, nil, func() bool {
+		return br.tail.Load() > pos || br.closed.Load() != 0 ||
+			br.slotState(slot).Load() != slotActive
+	})
+	switch {
+	case br.tail.Load() > pos:
+		return nil
+	case br.closed.Load() == 0 && br.slotState(slot).Load() != slotActive:
+		return ErrEvicted
 	}
-	timer := time.NewTimer(parkPoll)
-	defer timer.Stop()
-	for {
-		br.slotPark(slot).Store(1)
-		if br.tail.Load() > pos {
-			br.slotPark(slot).Store(0)
-			return nil
-		}
-		if br.slotState(slot).Load() != slotActive {
-			return ErrEvicted
-		}
-		if br.closed.Load() != 0 {
-			if br.tail.Load() > pos {
-				return nil
-			}
-			return io.EOF
-		}
-		select {
-		case <-r.dead:
-			if br.tail.Load() > pos {
-				return nil
-			}
-			return io.EOF
-		default:
-		}
-		select {
-		case <-r.dataWake:
-		case <-r.dead:
-		case <-timer.C:
-			timer.Reset(parkPoll)
-		}
-	}
+	return io.EOF
 }
 
 // Read implements comm.FrameSource (io.Reader half).

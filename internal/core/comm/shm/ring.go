@@ -3,9 +3,10 @@
 // buffer, so a frame send is a memcpy into the ring plus one atomic store,
 // with no syscall on the hot path. The rendezvous and park/wake channel is
 // a unix-domain socket: ring file paths travel over it at setup, single
-// wake bytes travel over it when a parked side must be unblocked
-// (futex-style: bounded spin first, kernel block after), and its EOF is
-// the liveness signal when a peer dies without closing cleanly.
+// wake bytes travel over it when a parked side must be unblocked (a
+// waiting side parks at once, and its peer sends a wake byte only when it
+// finds the park word set; see park), and its EOF is the liveness signal
+// when a peer dies without closing cleanly.
 //
 // This file is the ring itself — layout, record framing, producer and
 // consumer cursors — over a plain []byte, with no OS dependencies, so the
@@ -67,13 +68,6 @@ const (
 	minRingBytes = 4 << 10
 	maxRingBytes = 1 << 30
 )
-
-// spinYields is how many scheduler yields a waiting side burns before
-// parking: cheap enough to stay out of the kernel across a ping-pong
-// exchange, bounded so an idle link blocks instead of spinning. Yields,
-// not busy-spins, because single-CPU hosts need the peer goroutine to
-// actually run.
-const spinYields = 128
 
 var (
 	errRingLayout = errors.New("shm: ring buffer has invalid layout")

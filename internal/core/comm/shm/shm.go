@@ -37,11 +37,6 @@ const (
 	// rendezvousTimeout bounds the setup exchange so a stalled or
 	// hostile dialer cannot wedge the accept loop.
 	rendezvousTimeout = 2 * time.Second
-
-	// parkPoll is the blocked sides' safety re-check period: wakes are
-	// delivered over the socket, and the poll guarantees progress even
-	// if a wake byte is lost to a close race.
-	parkPoll = 2 * time.Millisecond
 )
 
 // Backend is a comm.Backend whose connections are shared-memory ring
@@ -413,80 +408,71 @@ func (c *Conn) sendWake(b byte) func() {
 	}
 }
 
-// waitData blocks until the rx ring has a published record past pos:
-// bounded spin (scheduler yields, so a same-CPU peer can run), then park
-// on the wake channel with the flag-recheck protocol that closes the
-// lost-wake race, with a safety poll underneath.
-func (c *Conn) waitData(pos uint64) error {
-	rx := c.rx
-	for i := 0; i < spinYields; i++ {
-		if rx.tail.Load() > pos {
-			return nil
-		}
-		runtime.Gosched()
-	}
-	timer := time.NewTimer(parkPoll)
-	defer timer.Stop()
+// park is the one wait loop behind every ring wait site: a Conn's
+// waitData and waitSpace, a BusReader's waitData and a BroadcastGroup's
+// waitSpace. It raises flag, this side's park word in the shared ring
+// header, re-checks ready, and blocks on wake until ready holds. It also
+// returns once dead closes or timeout fires (nil everywhere but the
+// broadcast writer's eviction timer); the caller tells which from the
+// ring's state. ready must include the ring's closed word, which a
+// peer's Close sets before it closes its socket.
+//
+// The waiter parks at once and no poll stands behind it, because no wake
+// is lost:
+//   - A waker makes its change and then swaps the park word to zero,
+//     sending a wake iff the swap returned one. The waiter stores
+//     one and then re-checks. Both use sequentially consistent
+//     sync/atomic operations, so if the re-check misses the change, the
+//     swap after it (or an earlier waker's swap) reads the waiter's one
+//     and sends a token after the waiter raised the flag.
+//   - Each site has exactly one waiter: a ring or reader slot has one
+//     consumer, and a writer holds its connection's write lock or the
+//     group's publish lock. So a token that finds the cap-1 wake channel
+//     full finds one that very waiter has not yet taken, and it wakes
+//     either way. A stale token costs one extra re-check.
+//   - A local Close and the peer's death (EOF on the socket) both close
+//     dead.
+func park(flag *atomic.Uint32, wake, dead <-chan struct{}, timeout <-chan time.Time, ready func() bool) {
 	for {
-		rx.rdPark.Store(1)
-		if rx.tail.Load() > pos {
-			rx.rdPark.Store(0)
-			return nil
-		}
-		if rx.closed.Load() != 0 {
-			return io.EOF
+		flag.Store(1)
+		if ready() {
+			flag.Store(0)
+			return
 		}
 		select {
-		case <-c.dead:
-			if rx.tail.Load() > pos {
-				return nil
-			}
-			return io.EOF
-		default:
-		}
-		select {
-		case <-c.dataWake:
-		case <-c.dead:
-		case <-timer.C:
-			timer.Reset(parkPoll)
+		case <-wake:
+		case <-dead:
+			return
+		case <-timeout:
+			return
 		}
 	}
 }
 
+// waitData blocks until the rx ring has a published record past pos, or
+// the link dies (io.EOF).
+func (c *Conn) waitData(pos uint64) error {
+	rx := c.rx
+	park(rx.rdPark, c.dataWake, c.dead, nil, func() bool {
+		return rx.tail.Load() > pos || rx.closed.Load() != 0
+	})
+	if rx.tail.Load() > pos {
+		return nil
+	}
+	return io.EOF
+}
+
 // waitSpace blocks until the tx ring's head reaches minHead (the
-// consumer freed enough space); same spin-then-park structure as
-// waitData.
+// consumer freed enough space), or the link dies.
 func (c *Conn) waitSpace(minHead uint64) error {
 	tx := c.tx
-	for i := 0; i < spinYields; i++ {
-		if tx.head.Load() >= minHead {
-			return nil
-		}
-		runtime.Gosched()
+	park(tx.wrPark, c.spaceWake, c.dead, nil, func() bool {
+		return tx.head.Load() >= minHead || tx.closed.Load() != 0
+	})
+	if tx.head.Load() >= minHead {
+		return nil
 	}
-	timer := time.NewTimer(parkPoll)
-	defer timer.Stop()
-	for {
-		tx.wrPark.Store(1)
-		if tx.head.Load() >= minHead {
-			tx.wrPark.Store(0)
-			return nil
-		}
-		if tx.closed.Load() != 0 {
-			return errRingClosed
-		}
-		select {
-		case <-c.dead:
-			return errRingClosed
-		default:
-		}
-		select {
-		case <-c.spaceWake:
-		case <-c.dead:
-		case <-timer.C:
-			timer.Reset(parkPoll)
-		}
-	}
+	return errRingClosed
 }
 
 // FrameBuffers implements comm.BufferedConn: the transport's framing

@@ -146,10 +146,13 @@ func TestRingCorruptLengthDetected(t *testing.T) {
 	}
 }
 
-func connPair(t *testing.T) (dialer, acceptor net.Conn) {
+// connPair returns both ends of a fresh shm connection whose rings hold
+// ringBytes each (0 means DefaultRingBytes).
+func connPair(t *testing.T, ringBytes int) (dialer, acceptor *Conn) {
 	t.Helper()
 	b := New()
 	b.Dir = t.TempDir()
+	b.RingBytes = ringBytes
 	ln, err := b.Listen("")
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +176,13 @@ func connPair(t *testing.T) (dialer, acceptor net.Conn) {
 		t.Fatal(ar.err)
 	}
 	t.Cleanup(func() { dc.Close(); ar.c.Close() })
-	return dc, ar.c
+	return dc.(*Conn), ar.c.(*Conn)
 }
 
 // TestConnRendezvousRoundtrip drives the full Listen/Dial rendezvous and
 // exchanges data both directions through the net.Conn surface.
 func TestConnRendezvousRoundtrip(t *testing.T) {
-	dc, ac := connPair(t)
+	dc, ac := connPair(t, 0)
 	msg := []byte("ping over shared memory")
 	if _, err := dc.Write(msg); err != nil {
 		t.Fatal(err)
@@ -208,7 +211,7 @@ func TestConnRendezvousRoundtrip(t *testing.T) {
 // peer, and requires the read to return an error promptly instead of
 // hanging.
 func TestConnCloseUnblocksReader(t *testing.T) {
-	dc, ac := connPair(t)
+	dc, ac := connPair(t, 0)
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := ac.Read(make([]byte, 16))

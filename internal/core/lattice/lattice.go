@@ -39,7 +39,6 @@ package lattice
 import (
 	"container/heap"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -122,10 +121,6 @@ type Lattice struct {
 	parkMu   sync.Mutex
 	parkCond *sync.Cond
 	parked   atomic.Int32
-	// spinning counts goroutines in the pre-park polling loop; producers
-	// subtract them from the wakeups they issue, since each spinner will
-	// absorb one promoted callback without a futex.
-	spinning atomic.Int32
 
 	// ready counts callbacks sitting in shard queues; pending counts
 	// callbacks submitted but not yet completed (queued, promoted or
@@ -356,46 +351,12 @@ func (l *Lattice) worker(id int) {
 			if l.stopped.Load() {
 				return
 			}
-			if it = l.spin(id); it == nil {
-				l.park()
-				continue
-			}
+			l.park()
+			continue
 		}
 		it.run()
 		l.complete(it)
 	}
-}
-
-// spinRounds bounds the pre-park polling loop. Each round yields the
-// processor, so on a loaded box the spin degrades into a handful of
-// scheduler passes rather than burned cycles.
-const spinRounds = 64
-
-// spin polls briefly for newly promoted work before parking. A lone item
-// ping-ponging between a producer and the pool would otherwise pay a futex
-// wake on every submission: the producer sees the worker parked and
-// signals, the worker wakes, runs one callback, finds nothing, and parks
-// again. At most one goroutine spins at a time — a second polling worker
-// adds scheduler pressure without finding work any sooner — and producers
-// subtract the spinner from the wakeups they issue, so the futex stays
-// untouched while the spinner is on duty.
-func (l *Lattice) spin(id int) *Item {
-	if !l.spinning.CompareAndSwap(0, 1) {
-		return nil
-	}
-	defer l.spinning.Add(-1)
-	for i := 0; i < spinRounds; i++ {
-		if l.stopped.Load() {
-			return nil
-		}
-		if l.ready.Load() > 0 {
-			if it := l.findWork(id); it != nil {
-				return it
-			}
-		}
-		runtime.Gosched()
-	}
-	return nil
 }
 
 // findWork pops the highest-priority callback from the goroutine's own
@@ -475,14 +436,8 @@ func (l *Lattice) park() {
 	l.parkMu.Unlock()
 }
 
-// wake signals up to n parked goroutines, one per promoted callback. An
-// active spinner absorbs one callback without a futex, so it is deducted
-// from n. The no-lost-wakeup argument: a spinner leaves the spinning count
-// only before entering park, and park re-checks ready under parkMu, so a
-// producer that skipped a signal on the spinner's account either has its
-// item taken by the spinner or observed by the park re-check.
+// wake signals up to n parked goroutines, one per promoted callback.
 func (l *Lattice) wake(n int) {
-	n -= int(l.spinning.Load())
 	if n <= 0 || l.parked.Load() == 0 {
 		return
 	}
