@@ -45,3 +45,26 @@ func (w *Waypoint) UnmarshalFrame(r *comm.FrameReader) {
 	w.X = r.Float64()
 	w.Y = r.Float64()
 }
+
+// GobEncode gives PID a fixed 41-byte wire form — the three gains, then the
+// integrator, the last error and whether there is one — so an operator-state
+// checkpoint carries the controller's memory, not just its gains. Gob alone
+// would drop the unexported fields.
+func (p *PID) GobEncode() ([]byte, error) {
+	b := make([]byte, 0, 41)
+	b = comm.AppendFloat64(b, p.KP)
+	b = comm.AppendFloat64(b, p.KI)
+	b = comm.AppendFloat64(b, p.KD)
+	b = comm.AppendFloat64(b, p.integral)
+	b = comm.AppendFloat64(b, p.lastErr)
+	return comm.AppendBool(b, p.hasLast), nil
+}
+
+// GobDecode restores a PID written by GobEncode.
+func (p *PID) GobDecode(b []byte) error {
+	r := comm.ReaderOf(b)
+	p.KP, p.KI, p.KD = r.Float64(), r.Float64(), r.Float64()
+	p.integral, p.lastErr = r.Float64(), r.Float64()
+	p.hasLast = r.Bool()
+	return r.Err()
+}

@@ -117,13 +117,15 @@ func (s Static) For(timestamp.Timestamp) time.Duration { return time.Duration(s)
 // (§5.2). pDP sends the relative deadline Di in a message Mt followed by a
 // watermark Wt' (t' >= t); Di applies to logical times from t onward until a
 // later update. Lookups for a time with no update at or below it fall back
-// to the most recent known value, and to Default before any update arrives.
+// to the earliest retained update, and to Default before any update
+// arrives. GCBelow bounds the retained updates the way Versioned.GC bounds
+// state versions.
 type Dynamic struct {
 	// Default applies before the first update from pDP arrives.
 	Default time.Duration
 
 	mu      sync.RWMutex
-	updates []dynamicUpdate // ascending by logical time
+	updates timestamp.Window[dynamicUpdate]
 }
 
 type dynamicUpdate struct {
@@ -140,39 +142,48 @@ func NewDynamic(def time.Duration) *Dynamic { return &Dynamic{Default: def} }
 func (dv *Dynamic) Update(t timestamp.Timestamp, d time.Duration) {
 	dv.mu.Lock()
 	defer dv.mu.Unlock()
-	i := len(dv.updates)
-	for i > 0 && t.Less(dv.updates[i-1].from) {
-		i--
-	}
-	if i > 0 && dv.updates[i-1].from.Equal(t) {
-		dv.updates[i-1].d = d
+	i := dv.atOrBelowLocked(t)
+	if i > 0 && dv.updates.At(i-1).from.Equal(t) {
+		dv.updates.At(i - 1).d = d
 		return
 	}
-	dv.updates = append(dv.updates, dynamicUpdate{})
-	copy(dv.updates[i+1:], dv.updates[i:])
-	dv.updates[i] = dynamicUpdate{from: t, d: d}
+	dv.updates.Insert(i, dynamicUpdate{from: t, d: d})
+}
+
+// atOrBelowLocked returns how many retained updates start at or below t.
+func (dv *Dynamic) atOrBelowLocked(t timestamp.Timestamp) int {
+	return dv.updates.Search(func(u *dynamicUpdate) bool { return u.from.LessEq(t) })
 }
 
 // For implements Source: the update with the greatest time <= t wins; with
-// none at or below t, the earliest known update (pDP's first decision) or
-// the default applies.
+// none at or below t, the earliest retained update (pDP's first decision)
+// or the default applies.
 func (dv *Dynamic) For(t timestamp.Timestamp) time.Duration {
 	dv.mu.RLock()
 	defer dv.mu.RUnlock()
-	for i := len(dv.updates) - 1; i >= 0; i-- {
-		if dv.updates[i].from.LessEq(t) {
-			return dv.updates[i].d
-		}
+	if dv.updates.Len() == 0 {
+		return dv.Default
 	}
-	if len(dv.updates) > 0 {
-		return dv.updates[0].d
+	if i := dv.atOrBelowLocked(t); i > 0 {
+		return dv.updates.At(i - 1).d
 	}
-	return dv.Default
+	return dv.updates.At(0).d
+}
+
+// GCBelow drops the updates that no lookup at or above logical time l can
+// select: every update before the newest one at or below l. For(t) answers
+// as before for every t >= l.
+func (dv *Dynamic) GCBelow(l uint64) {
+	dv.mu.Lock()
+	defer dv.mu.Unlock()
+	if n := dv.atOrBelowLocked(timestamp.New(l)); n > 1 {
+		dv.updates.DropFront(n - 1)
+	}
 }
 
 // Len returns the number of retained updates.
 func (dv *Dynamic) Len() int {
 	dv.mu.RLock()
 	defer dv.mu.RUnlock()
-	return len(dv.updates)
+	return dv.updates.Len()
 }

@@ -76,6 +76,46 @@ func TestDynamicOutOfOrderUpdates(t *testing.T) {
 	}
 }
 
+func TestDynamicGCBoundsUpdates(t *testing.T) {
+	// One pDP decision per frame for 10⁵ frames, trimmed at a cut trailing
+	// the newest frame by 64 as the worker's history GC does: the source
+	// stays the same size, and every lookup at or above the cut answers as
+	// an untrimmed source would.
+	const history = 64
+	d := NewDynamic(time.Millisecond)
+	ref := NewDynamic(time.Millisecond)
+	value := func(l uint64) time.Duration { return time.Duration(l%7+1) * time.Millisecond }
+	for l := uint64(1); l <= 100_000; l++ {
+		if l%3 == 0 { // sparse: not every frame gets a decision
+			continue
+		}
+		d.Update(ts(l), value(l))
+		if l >= 99_000 {
+			ref.Update(ts(l), value(l))
+		}
+		if l > history {
+			d.GCBelow(l - history)
+		}
+		if n := d.Len(); n > history+1 {
+			t.Fatalf("after %d updates Len = %d, want <= %d", l, n, history+1)
+		}
+	}
+	cut := uint64(100_000 - history)
+	for l := cut; l <= 100_010; l++ {
+		if got, want := d.For(ts(l)), ref.For(ts(l)); got != want {
+			t.Fatalf("For(%d) = %v after GC, want %v", l, got, want)
+		}
+	}
+	// A trim below every update, or of a single update, keeps the fallback.
+	one := NewDynamic(time.Millisecond)
+	one.Update(ts(50), 9*time.Millisecond)
+	one.GCBelow(10)
+	one.GCBelow(100)
+	if one.Len() != 1 || one.For(ts(200)) != 9*time.Millisecond || one.For(ts(1)) != 9*time.Millisecond {
+		t.Fatalf("single update: Len = %d, For(200) = %v", one.Len(), one.For(ts(200)))
+	}
+}
+
 func TestManualClockAdvance(t *testing.T) {
 	c := NewManual(time.Unix(0, 0))
 	var fired []int
@@ -363,6 +403,84 @@ func TestTimestampTrackerGC(t *testing.T) {
 	tr.GCBelow(8)
 	if tr.Tracked() != 2 {
 		t.Fatalf("Tracked after GC = %d", tr.Tracked())
+	}
+}
+
+func TestTimestampTrackerArmedAfterCoveringWatermark(t *testing.T) {
+	// A watermark sent for t=10 covers the times tracked so far. An entry
+	// first seen afterwards, below 10, starts with no sent watermark: its
+	// deadline arms, is satisfied only by a later watermark at or above it
+	// or its own DEC, and otherwise misses.
+	c := NewManual(time.Unix(0, 0))
+	m := NewMonitor(c)
+	defer m.Stop()
+	var mu sync.Mutex
+	var missed []uint64
+	tr := NewTimestampTracker(m, Static(10*time.Millisecond), Abort, func(ms Miss) {
+		mu.Lock()
+		missed = append(missed, ms.Timestamp.L)
+		mu.Unlock()
+	})
+	tr.ObserveReceive(ts(9), false)
+	tr.ObserveSend(ts(10), true)
+	if m.Pending() != 0 {
+		t.Fatalf("Pending = %d after covering watermark", m.Pending())
+	}
+	tr.ObserveReceive(ts(5), false)
+	tr.ObserveReceive(ts(6), false)
+	tr.ObserveReceive(ts(12), false)
+	if m.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 5, 6 and 12 armed", m.Pending())
+	}
+	// A data send for 6 does not satisfy the default DEC; a watermark for
+	// 5 satisfies 5 only; a repeated watermark for 10 re-covers 6.
+	tr.ObserveSend(ts(6), false)
+	tr.ObserveSend(ts(5), true)
+	if m.Pending() != 2 {
+		t.Fatalf("Pending = %d after watermark for 5, want 2", m.Pending())
+	}
+	tr.ObserveSend(ts(10), true)
+	if m.Pending() != 1 {
+		t.Fatalf("Pending = %d after repeated watermark for 10, want 1", m.Pending())
+	}
+	c.Advance(11 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(missed) != 1 || missed[0] != 12 {
+		t.Fatalf("missed = %v, want [12]", missed)
+	}
+}
+
+func TestTimestampTrackerStaysBounded(t *testing.T) {
+	// 10⁴ timestamps through the worker's receive/send/GC cycle, with a
+	// second, custom-DEC tracker whose deadlines outlive the cut now and
+	// then: both stay bounded by the history depth plus what is armed.
+	const history = 64
+	c := NewManual(time.Unix(0, 0))
+	m := NewMonitor(c)
+	defer m.Stop()
+	def := NewTimestampTracker(m, Static(time.Second), Abort, nil)
+	slow := NewTimestampTracker(m, Static(200*time.Millisecond), Continue, nil)
+	slow.End = MessageCount(1)
+	for l := uint64(1); l <= 10_000; l++ {
+		for _, tr := range []*TimestampTracker{def, slow} {
+			tr.ObserveReceive(ts(l), false)
+			tr.ObserveReceive(ts(l), true)
+			if l%5 != 0 { // every fifth time never meets the custom DEC
+				tr.ObserveSend(ts(l), false)
+			}
+			tr.ObserveSend(ts(l), true)
+			if l > history {
+				tr.GCBelow(l - history)
+			}
+		}
+		c.Advance(time.Millisecond)
+		if n := def.Tracked(); n > history+1 {
+			t.Fatalf("default tracker holds %d entries at t=%d", n, l)
+		}
+		if n := slow.Tracked(); n > history+200 {
+			t.Fatalf("custom-DEC tracker holds %d entries at t=%d", n, l)
+		}
 	}
 }
 

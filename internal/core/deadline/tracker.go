@@ -29,8 +29,13 @@ type TimestampTracker struct {
 
 	mon *Monitor
 
-	mu      sync.Mutex
-	entries map[uint64]*ttEntry
+	mu sync.Mutex
+	// entries holds one record per tracked logical time, ascending. Every
+	// entry before covered has seen a sent watermark for a time at or
+	// above its own, so a sent watermark visits only the entries it newly
+	// covers.
+	entries timestamp.Window[*ttEntry]
+	covered int
 }
 
 type ttState uint8
@@ -58,11 +63,10 @@ func NewTimestampTracker(mon *Monitor, value Source, policy Policy, onMiss func(
 		panic("deadline: nil value source")
 	}
 	return &TimestampTracker{
-		Value:   value,
-		Policy:  policy,
-		OnMiss:  onMiss,
-		mon:     mon,
-		entries: make(map[uint64]*ttEntry),
+		Value:  value,
+		Policy: policy,
+		OnMiss: onMiss,
+		mon:    mon,
 	}
 }
 
@@ -80,20 +84,37 @@ func (tr *TimestampTracker) end() Condition {
 	return WatermarkOnly()
 }
 
-func (tr *TimestampTracker) entry(l uint64, ts timestamp.Timestamp) *ttEntry {
-	e, ok := tr.entries[l]
-	if !ok {
-		e = &ttEntry{ts: ts}
-		tr.entries[l] = e
+// find returns the index of logical time l in the window and its entry, or
+// the index l would be inserted at and nil.
+func (tr *TimestampTracker) find(l uint64) (int, *ttEntry) {
+	i := tr.entries.Search(func(e **ttEntry) bool { return (*e).ts.L < l })
+	if i < tr.entries.Len() && (*tr.entries.At(i)).ts.L == l {
+		return i, *tr.entries.At(i)
 	}
-	return e
+	return i, nil
+}
+
+// entry returns the entry for logical time l and its index, creating it
+// with timestamp ts if needed. An entry created inside the covered prefix
+// has seen no watermark yet, so the prefix shrinks to end before it.
+func (tr *TimestampTracker) entry(l uint64, ts timestamp.Timestamp) (*ttEntry, int) {
+	i, e := tr.find(l)
+	if e != nil {
+		return e, i
+	}
+	e = &ttEntry{ts: ts}
+	tr.entries.Insert(i, e)
+	if i < tr.covered {
+		tr.covered = i
+	}
+	return e, i
 }
 
 // ObserveReceive records the receipt of a message (isWatermark selects the
 // kind) for timestamp t and arms the deadline if the DSC becomes satisfied.
 func (tr *TimestampTracker) ObserveReceive(t timestamp.Timestamp, isWatermark bool) {
 	tr.mu.Lock()
-	e := tr.entry(t.L, t)
+	e, _ := tr.entry(t.L, t)
 	if isWatermark {
 		e.recv.Watermark = true
 	} else {
@@ -119,10 +140,11 @@ func (tr *TimestampTracker) ObserveReceive(t timestamp.Timestamp, isWatermark bo
 // ObserveSend records the generation of a message for timestamp t and
 // satisfies armed deadlines whose DEC becomes true. A generated watermark
 // additionally completes every earlier armed logical time (the default DEC
-// accepts the first watermark with t' >= t).
+// accepts the first watermark with t' >= t); it visits only the earlier
+// times no sent watermark has covered yet.
 func (tr *TimestampTracker) ObserveSend(t timestamp.Timestamp, isWatermark bool) {
 	tr.mu.Lock()
-	e := tr.entry(t.L, t)
+	e, at := tr.entry(t.L, t)
 	if isWatermark {
 		e.sent.Watermark = true
 	} else {
@@ -134,16 +156,16 @@ func (tr *TimestampTracker) ObserveSend(t timestamp.Timestamp, isWatermark bool)
 		e.state = ttDone
 		satisfy = append(satisfy, e.armed)
 	}
-	if isWatermark {
-		for l, o := range tr.entries {
-			if l < t.L {
-				o.sent.Watermark = true
-				if o.state == ttArmed && end(o.sent) {
-					o.state = ttDone
-					satisfy = append(satisfy, o.armed)
-				}
+	if isWatermark && tr.covered <= at {
+		for i := tr.covered; i < at; i++ {
+			o := *tr.entries.At(i)
+			o.sent.Watermark = true
+			if o.state == ttArmed && end(o.sent) {
+				o.state = ttDone
+				satisfy = append(satisfy, o.armed)
 			}
 		}
+		tr.covered = at + 1
 	}
 	tr.mu.Unlock()
 	for _, a := range satisfy {
@@ -154,8 +176,8 @@ func (tr *TimestampTracker) ObserveSend(t timestamp.Timestamp, isWatermark bool)
 // expire marks the entry missed and invokes the handler.
 func (tr *TimestampTracker) expire(t timestamp.Timestamp, rel time.Duration, policy Policy, expiredAt time.Time) {
 	tr.mu.Lock()
-	e, ok := tr.entries[t.L]
-	if !ok || e.state != ttArmed {
+	_, e := tr.find(t.L)
+	if e == nil || e.state != ttArmed {
 		tr.mu.Unlock()
 		return
 	}
@@ -173,22 +195,28 @@ func (tr *TimestampTracker) expire(t timestamp.Timestamp, rel time.Duration, pol
 	}
 }
 
-// GCBelow discards tracking entries for logical times strictly below l.
+// GCBelow pops tracking entries for logical times strictly below l from
+// the head of the window. An entry whose deadline is still armed stops the
+// pop, and the entries behind it wait for the next call.
 func (tr *TimestampTracker) GCBelow(l uint64) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for k, e := range tr.entries {
-		if k < l && e.state != ttArmed {
-			delete(tr.entries, k)
+	n := 0
+	for n < tr.entries.Len() {
+		if e := *tr.entries.At(n); e.ts.L >= l || e.state == ttArmed {
+			break
 		}
+		n++
 	}
+	tr.entries.DropFront(n)
+	tr.covered = max(tr.covered-n, 0)
 }
 
 // Tracked returns the number of live tracking entries.
 func (tr *TimestampTracker) Tracked() int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return len(tr.entries)
+	return tr.entries.Len()
 }
 
 // FrequencyTracker enforces §5.1's frequency deadlines on one input stream:

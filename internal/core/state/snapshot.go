@@ -71,10 +71,11 @@ type TimedValue struct {
 }
 
 // VersionLister is an optional Store extension: stores that retain their
-// committed history expose it (newest last, values independently cloned)
-// so Snapshot can build multi-version checkpoints.
+// committed history expose its newest n versions strictly below t (newest
+// last, values independently cloned) so Snapshot can build multi-version
+// checkpoints without copying the rest.
 type VersionLister interface {
-	ListVersions() []TimedValue
+	ListVersions(t timestamp.Timestamp, n int) []TimedValue
 }
 
 func encodeValue(v any) ([]byte, bool) {
@@ -108,20 +109,11 @@ func Snapshot(s Store) (cp Checkpoint, ok bool) {
 	if !cp.HasState || !isLister {
 		return cp, true
 	}
-	vs := lister.ListVersions()
-	// Walk the tail below the newest commit, newest-first, then reverse
-	// into ascending order.
 	var older []Version
-	for i := len(vs) - 1; i >= 0 && len(older) < MaxCheckpointVersions-1; i-- {
-		if !vs[i].TS.Less(ts) {
-			continue
+	for _, tv := range lister.ListVersions(ts, MaxCheckpointVersions-1) {
+		if b, encOK := encodeValue(tv.Value); encOK {
+			older = append(older, Version{L: tv.TS.L, State: b})
 		}
-		if b, encOK := encodeValue(vs[i].Value); encOK {
-			older = append(older, Version{L: vs[i].TS.L, State: b})
-		}
-	}
-	for i, j := 0, len(older)-1; i < j; i, j = i+1, j-1 {
-		older[i], older[j] = older[j], older[i]
 	}
 	cp.Older = older
 	return cp, true

@@ -54,6 +54,28 @@ func TestSnapshotBoundsVersions(t *testing.T) {
 	}
 }
 
+// TestSnapshotClonesOnlyWhatItEncodes: a checkpoint of a deep history
+// clones the newest version and the tail it carries, not every retained
+// version.
+func TestSnapshotClonesOnlyWhatItEncodes(t *testing.T) {
+	clones := 0
+	s := NewVersioned(&snapCounter{}, func(v any) any {
+		clones++
+		c := *v.(*snapCounter)
+		return &c
+	})
+	for l := uint64(1); l <= 64; l++ {
+		commitN(s, l)
+	}
+	cp, _ := Snapshot(s)
+	if len(cp.Older) != MaxCheckpointVersions-1 || cp.L != 64 {
+		t.Fatalf("checkpoint at %d carries %d older versions", cp.L, len(cp.Older))
+	}
+	if clones != MaxCheckpointVersions {
+		t.Fatalf("Snapshot cloned %d versions, want %d", clones, MaxCheckpointVersions)
+	}
+}
+
 // TestRestoreAtPicksConsistentCut: restore lands on the newest version at
 // or below the cut, the store answers from it, and the returned fence is
 // the restored watermark — not the cut itself when no version sits exactly

@@ -63,7 +63,7 @@ type Versioned struct {
 	mu       sync.Mutex
 	initial  any
 	clone    func(any) any
-	versions []version // sorted ascending by ts
+	versions timestamp.Window[version]
 }
 
 // NewVersioned returns a Store whose initial committed state (conceptually
@@ -101,27 +101,20 @@ func (v *Versioned) Commit(t timestamp.Timestamp, view any) {
 	defer v.mu.Unlock()
 	// Insert keeping ascending timestamp order; replace on equal timestamp
 	// (a re-commit for the same t, e.g. a DEH amending a dirty view, wins).
-	i := len(v.versions)
-	for i > 0 && t.Less(v.versions[i-1].ts) {
-		i--
-	}
-	if i > 0 && v.versions[i-1].ts.Equal(t) {
-		v.versions[i-1].value = view
+	i := v.countLocked(t, false)
+	if i > 0 && v.versions.At(i-1).ts.Equal(t) {
+		v.versions.At(i - 1).value = view
 		return
 	}
-	v.versions = append(v.versions, version{})
-	copy(v.versions[i+1:], v.versions[i:])
-	v.versions[i] = version{ts: t, value: view}
+	v.versions.Insert(i, version{ts: t, value: view})
 }
 
 // Committed implements Store.
 func (v *Versioned) Committed(t timestamp.Timestamp) (any, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for i := len(v.versions) - 1; i >= 0; i-- {
-		if v.versions[i].ts.LessEq(t) {
-			return v.clone(v.versions[i].value), true
-		}
+	if i := v.countLocked(t, false); i > 0 {
+		return v.clone(v.versions.At(i - 1).value), true
 	}
 	return v.clone(v.initial), false
 }
@@ -130,10 +123,11 @@ func (v *Versioned) Committed(t timestamp.Timestamp) (any, bool) {
 func (v *Versioned) Last() (any, timestamp.Timestamp, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if len(v.versions) == 0 {
+	n := v.versions.Len()
+	if n == 0 {
 		return v.clone(v.initial), timestamp.Bottom(), false
 	}
-	last := v.versions[len(v.versions)-1]
+	last := v.versions.At(n - 1)
 	return v.clone(last.value), last.ts, true
 }
 
@@ -141,20 +135,13 @@ func (v *Versioned) Last() (any, timestamp.Timestamp, bool) {
 // views are private clones, so dropping the reference suffices.
 func (v *Versioned) Discard(timestamp.Timestamp, any) {}
 
-// GC implements Store.
+// GC implements Store: it pops every version before the newest one at or
+// below t from the head of the window, in place.
 func (v *Versioned) GC(t timestamp.Timestamp) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	// Find the last version at or below t; keep it and everything after.
-	keepFrom := 0
-	for i := len(v.versions) - 1; i >= 0; i-- {
-		if v.versions[i].ts.LessEq(t) {
-			keepFrom = i
-			break
-		}
-	}
-	if keepFrom > 0 {
-		v.versions = append([]version(nil), v.versions[keepFrom:]...)
+	if n := v.countLocked(t, false); n > 1 {
+		v.versions.DropFront(n - 1)
 	}
 }
 
@@ -162,31 +149,40 @@ func (v *Versioned) GC(t timestamp.Timestamp) {
 func (v *Versioned) Versions() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.versions)
+	return v.versions.Len()
 }
 
-// ListVersions implements VersionLister: it returns every retained committed
-// version in ascending timestamp order. Values are independent clones, so
-// callers (checkpoint encoding in particular) can read them while the live
-// store keeps committing.
-func (v *Versioned) ListVersions() []TimedValue {
+// ListVersions implements VersionLister: it returns the newest n retained
+// versions strictly below t in ascending timestamp order. Values are
+// independent clones, so callers (checkpoint encoding in particular) can
+// read them while the live store keeps committing.
+func (v *Versioned) ListVersions(t timestamp.Timestamp, n int) []TimedValue {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	out := make([]TimedValue, len(v.versions))
-	for i, ver := range v.versions {
-		out[i] = TimedValue{TS: ver.ts, Value: v.clone(ver.value)}
+	end := v.countLocked(t, true)
+	start := max(end-n, 0)
+	out := make([]TimedValue, 0, end-start)
+	for i := start; i < end; i++ {
+		ver := v.versions.At(i)
+		out = append(out, TimedValue{TS: ver.ts, Value: v.clone(ver.value)})
 	}
 	return out
+}
+
+// countLocked returns how many versions lie strictly below t (strict) or at
+// or below t (!strict).
+func (v *Versioned) countLocked(t timestamp.Timestamp, strict bool) int {
+	if strict {
+		return v.versions.Search(func(ver *version) bool { return ver.ts.Less(t) })
+	}
+	return v.versions.Search(func(ver *version) bool { return ver.ts.LessEq(t) })
 }
 
 // lookupLocked returns the committed value at the greatest t' < t (strict)
 // or t' <= t (if !strict); falls back to the initial state.
 func (v *Versioned) lookupLocked(t timestamp.Timestamp, strict bool) any {
-	for i := len(v.versions) - 1; i >= 0; i-- {
-		ts := v.versions[i].ts
-		if (strict && ts.Less(t)) || (!strict && ts.LessEq(t)) {
-			return v.versions[i].value
-		}
+	if i := v.countLocked(t, strict); i > 0 {
+		return v.versions.At(i - 1).value
 	}
 	return v.initial
 }

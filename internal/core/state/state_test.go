@@ -186,6 +186,45 @@ func TestQuickCommittedMatchesModel(t *testing.T) {
 				t.Fatalf("trial %d: Committed(%d) = %d, want %d", trial, q, got.(counter).N, want)
 			}
 		}
+		// GC at a random cut answers identically at and above the cut.
+		cut := uint64(r.Intn(22))
+		before := make([]int, 22)
+		for q := range before {
+			got, _ := s.Committed(ts(uint64(q)))
+			before[q] = got.(counter).N
+		}
+		s.GC(ts(cut))
+		for q := cut; q <= 21; q++ {
+			if got, _ := s.Committed(ts(q)); got.(counter).N != before[q] {
+				t.Fatalf("trial %d: Committed(%d) = %d after GC(%d), want %d", trial, q, got.(counter).N, cut, before[q])
+			}
+		}
+	}
+}
+
+// TestVersionedCommitGCAllocatesNothing: once the version window has grown
+// to the retained history, a commit plus the GC that follows it trims in
+// place instead of copying the surviving versions into a new slice.
+func TestVersionedCommitGCAllocatesNothing(t *testing.T) {
+	const history = 64
+	s := NewVersioned(&counter{}, func(v any) any { c := *v.(*counter); return &c })
+	val := &counter{N: 1}
+	l := uint64(0)
+	step := func() {
+		l++
+		s.Commit(ts(l), val)
+		if l > history {
+			s.GC(ts(l - history))
+		}
+	}
+	for i := 0; i < 4*history; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("steady-state Commit+GC allocates %.1f times, want 0", allocs)
+	}
+	if n := s.Versions(); n != history+1 {
+		t.Fatalf("Versions = %d, want %d", n, history+1)
 	}
 }
 

@@ -42,8 +42,10 @@ type Options struct {
 	Threads int
 	// Clock drives deadline enforcement (default the wall clock).
 	Clock deadline.Clock
-	// HistoryDepth bounds how many logical times of state versions and
-	// tracking entries are retained behind the low watermark (default 64).
+	// HistoryDepth bounds how many logical times of state versions,
+	// tracking entries and pDP deadline updates are retained behind the
+	// newest completed time (default 64). It bounds retention only: a
+	// watermark costs what it closes, not what is retained.
 	HistoryDepth uint64
 	// WrapCallback, when non-nil, wraps every operator callback before it
 	// is submitted to the lattice (fault-injection stalls, tracing). It is
@@ -311,8 +313,8 @@ func (w *Worker) SendDeadline(id stream.ID, ts timestamp.Timestamp) (time.Time, 
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	tw, ok := rt.times[ts.L]
-	if !ok || !tw.hasArrival {
+	_, tw := rt.findLocked(ts.L)
+	if tw == nil || !tw.hasArrival {
 		return time.Time{}, false
 	}
 	return tw.firstArrival.Add(rt.ttSpecs[0].Value.For(tw.ts)), true
@@ -530,7 +532,7 @@ func (w *Worker) Adopt(name string, cp *state.Checkpoint, restoreAt uint64, repl
 // RewindOpen discards the named operator's open (uncommitted) timestamps:
 // every working view above the input low watermark whose completion has not
 // been scheduled is dropped, and already-queued callbacks for those times
-// become no-ops (they re-check rt.times at dispatch). The committed state
+// become no-ops (they re-check the time window at dispatch). The committed state
 // and the input watermark fences are untouched.
 //
 // This is the consumer half of relay-failure recovery: a dead relay loses a
@@ -550,9 +552,11 @@ func (w *Worker) RewindOpen(name string) {
 		return
 	}
 	rt.mu.Lock()
-	for l, tw := range rt.times {
-		if !tw.done && !tw.scheduled && !tw.handledAbort {
-			delete(rt.times, l)
+	// Every time below the scheduling cursor is scheduled or done, so only
+	// the open tail can hold droppable views.
+	for i := rt.times.Len() - 1; i >= rt.sched; i-- {
+		if tw := *rt.times.At(i); !tw.scheduled && !tw.handledAbort {
+			rt.times.Delete(i)
 		}
 	}
 	rt.mu.Unlock()
@@ -665,9 +669,18 @@ type opRuntime struct {
 	// slice of Worker.urgencyMisses used for tenant attribution.
 	urgMiss atomic.Uint64
 
-	mu        sync.Mutex
-	inWM      []wmState
-	times     map[uint64]*timeWork
+	// dyn lists the operator's pDP-fed deadline sources, trimmed by the
+	// same cut as its state and trackers.
+	dyn []*deadline.Dynamic
+
+	mu   sync.Mutex
+	inWM []wmState
+	// times holds one work record per open or recently completed logical
+	// time, ascending. sched indexes the first record whose watermark
+	// callback may still need scheduling: every record before it is
+	// scheduled or done, so a watermark walks only the times it closes.
+	times     timestamp.Window[*timeWork]
+	sched     int
 	committed int
 }
 
@@ -698,11 +711,10 @@ func (w *Worker) newOpRuntime(spec *operator.Spec, g graph.View, cp *state.Check
 		q = w.lat.NewOpQueue(spec.Mode)
 	}
 	rt := &opRuntime{
-		w:     w,
-		spec:  spec,
-		q:     q,
-		times: make(map[uint64]*timeWork),
-		inWM:  make([]wmState, len(spec.Inputs)),
+		w:    w,
+		spec: spec,
+		q:    q,
+		inWM: make([]wmState, len(spec.Inputs)),
 	}
 	if w.wrapCB != nil {
 		name := spec.Name
@@ -746,6 +758,7 @@ func (w *Worker) newOpRuntime(spec *operator.Spec, g graph.View, cp *state.Check
 		tr.OnMiss = func(m deadline.Miss) { rt.onMiss(ds, m) }
 		rt.ttTrackers = append(rt.ttTrackers, tr)
 		rt.ttSpecs = append(rt.ttSpecs, ds)
+		rt.noteDynamic(ds.Value)
 	}
 	// Feed the replayed window through the normal receive path before the
 	// live subscriptions exist: replayed messages enqueue in order, the
@@ -772,8 +785,16 @@ func (w *Worker) newOpRuntime(spec *operator.Spec, g graph.View, cp *state.Check
 			rt.insertWatermark(fs, last)
 		})
 		rt.freqAttach(fs.Input, fr)
+		rt.noteDynamic(fs.Value)
 	}
 	return rt, nil
+}
+
+// noteDynamic records src for history GC when it is a pDP-fed source.
+func (rt *opRuntime) noteDynamic(src deadline.Source) {
+	if d, ok := src.(*deadline.Dynamic); ok {
+		rt.dyn = append(rt.dyn, d)
+	}
 }
 
 // freqTrackers are attached per input; stored on the runtime for receive
@@ -893,8 +914,8 @@ func (rt *opRuntime) runData(l uint64, input int, m message.Message, ls *lease) 
 		return
 	}
 	rt.mu.Lock()
-	tw, ok := rt.times[l]
-	if !ok || tw.handledAbort || tw.done {
+	_, tw := rt.findLocked(l)
+	if tw == nil || tw.handledAbort || tw.done {
 		rt.mu.Unlock()
 		return
 	}
@@ -903,25 +924,23 @@ func (rt *opRuntime) runData(l uint64, input int, m message.Message, ls *lease) 
 	rt.spec.OnData(ctx, input, m)
 }
 
-// scheduleCompleteLocked submits watermark callbacks for every pending
-// logical time at or below the operator's low watermark. Caller holds rt.mu.
+// scheduleCompleteLocked submits, in ascending logical time, watermark
+// callbacks for every pending time at or below the operator's low
+// watermark. It starts at the scheduling cursor, so it visits only the
+// times this watermark closes. Caller holds rt.mu.
 func (rt *opRuntime) scheduleCompleteLocked() {
 	low, ok := rt.lowWatermarkLocked()
 	if !ok {
 		return
 	}
-	var due []uint64
-	for l, tw := range rt.times {
+	for ; rt.sched < rt.times.Len(); rt.sched++ {
+		tw := *rt.times.At(rt.sched)
+		if tw.ts.L > low.L && !low.IsTop() {
+			break
+		}
 		if tw.scheduled || tw.done {
 			continue
 		}
-		if l <= low.L || low.IsTop() {
-			due = append(due, l)
-		}
-	}
-	sort.Slice(due, func(a, b int) bool { return due[a] < due[b] })
-	for _, l := range due {
-		tw := rt.times[l]
 		tw.scheduled = true
 		ts := tw.ts
 		run := func() { rt.runWatermark(ts) }
@@ -940,8 +959,8 @@ func (rt *opRuntime) runWatermark(ts timestamp.Timestamp) {
 	}
 	l := ts.L
 	rt.mu.Lock()
-	tw, ok := rt.times[l]
-	if !ok || tw.done {
+	_, tw := rt.findLocked(l)
+	if tw == nil || tw.done {
 		rt.mu.Unlock()
 		return
 	}
@@ -1067,13 +1086,27 @@ func (rt *opRuntime) viewLocked(tw *timeWork) any {
 	return tw.view
 }
 
+// findLocked returns the index of logical time l in the window and its work
+// record, or the index l would be inserted at and nil.
+func (rt *opRuntime) findLocked(l uint64) (int, *timeWork) {
+	i := rt.times.Search(func(tw **timeWork) bool { return (*tw).ts.L < l })
+	if i < rt.times.Len() && (*rt.times.At(i)).ts.L == l {
+		return i, *rt.times.At(i)
+	}
+	return i, nil
+}
+
 // timeLocked returns (creating if needed) the work record for t's logical
-// time.
+// time. Times nearly always arrive in order, so the insert is an append.
 func (rt *opRuntime) timeLocked(t timestamp.Timestamp) *timeWork {
-	tw, ok := rt.times[t.L]
-	if !ok {
-		tw = &timeWork{ts: timestamp.New(t.L), gate: operator.NewGate()}
-		rt.times[t.L] = tw
+	i, tw := rt.findLocked(t.L)
+	if tw != nil {
+		return tw
+	}
+	tw = &timeWork{ts: timestamp.New(t.L), gate: operator.NewGate()}
+	rt.times.Insert(i, tw)
+	if i < rt.sched {
+		rt.sched = i
 	}
 	return tw
 }
@@ -1100,20 +1133,29 @@ func (rt *opRuntime) lowWatermarkLocked() (timestamp.Timestamp, bool) {
 	return low, true
 }
 
-// gcLocked discards finished work records far enough behind l.
+// gcLocked pops the finished work records more than the history depth
+// behind l from the head of the window, and trims the trackers, deadline
+// sources and state at the same cut.
 func (rt *opRuntime) gcLocked(l uint64) {
 	h := rt.w.history
 	if l < h {
 		return
 	}
 	cut := l - h
-	for k, tw := range rt.times {
-		if k < cut && tw.done {
-			delete(rt.times, k)
+	n := 0
+	for n < rt.times.Len() {
+		if tw := *rt.times.At(n); tw.ts.L >= cut || !tw.done {
+			break
 		}
+		n++
 	}
+	rt.times.DropFront(n)
+	rt.sched = max(rt.sched-n, 0)
 	for _, tr := range rt.ttTrackers {
 		tr.GCBelow(cut)
+	}
+	for _, d := range rt.dyn {
+		d.GCBelow(cut)
 	}
 	rt.st.GC(timestamp.New(cut))
 }
@@ -1133,8 +1175,8 @@ func (rt *opRuntime) info() OpInfo {
 	defer rt.mu.Unlock()
 	low, have := rt.lowWatermarkLocked()
 	pending := 0
-	for _, tw := range rt.times {
-		if !tw.done {
+	for i := 0; i < rt.times.Len(); i++ {
+		if !(*rt.times.At(i)).done {
 			pending++
 		}
 	}

@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/erdos-go/erdos/internal/av/control"
 	"github.com/erdos-go/erdos/internal/av/tracking"
 	"github.com/erdos-go/erdos/internal/core/erdos"
+	"github.com/erdos-go/erdos/internal/core/state"
+	"github.com/erdos-go/erdos/internal/core/timestamp"
 )
 
 // drive feeds frames of an agent approaching from ahead and returns the
@@ -107,5 +110,32 @@ func TestPlannerSwervesAroundPredictedObstacle(t *testing.T) {
 	}
 	if !swerved {
 		t.Fatal("planner never planned around the in-lane obstacle")
+	}
+}
+
+// TestControlCheckpointCarriesPIDIntegrator checkpoints control's state
+// after the PID has accumulated error and restores it into a fresh store:
+// the restored controller must answer the next error exactly as the live
+// one does, integrator and derivative memory included.
+func TestControlCheckpointCarriesPIDIntegrator(t *testing.T) {
+	live := &ctlState{Ctl: control.NewController()}
+	for i := 0; i < 3; i++ {
+		live.Ctl.Speed.Update(1, 0.1)
+	}
+	src := state.Typed(&ctlState{Ctl: control.NewController()}, (*ctlState).clone)
+	src.Commit(timestamp.New(3), live.clone())
+	cp, ok := state.Snapshot(src)
+	if !ok || !cp.HasState {
+		t.Fatalf("snapshot: ok=%v HasState=%v", ok, cp.HasState)
+	}
+	dst := state.Typed(&ctlState{Ctl: control.NewController()}, (*ctlState).clone)
+	if _, err := state.RestoreAt(dst, cp, cp.L); err != nil {
+		t.Fatal(err)
+	}
+	v, _, _ := dst.Last()
+	restored := v.(*ctlState)
+	want := live.Ctl.Speed.Update(0.5, 0.1)
+	if got := restored.Ctl.Speed.Update(0.5, 0.1); got != want {
+		t.Fatalf("restored PID gives %v, live gives %v", got, want)
 	}
 }
