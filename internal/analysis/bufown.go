@@ -3,7 +3,7 @@
 // payloads (comm.AcquirePayload), fanout shares refcounted broadcast frames
 // (newBroadcastFrame), and codecs borrow boxed headers from sync.Pools; all
 // of them rely on a hand-policed protocol — release exactly once, or hand
-// ownership off (SendRelease, message payloads, channel sends, returns).
+// ownership off (relay republish, message payloads, channel sends, returns).
 // A buffer dropped on an early error return is a silent allocation-rate
 // regression (pooling is safe-by-default: the GC eats the loss), and a
 // double release poisons the pool with an aliased buffer, which corrupts a
@@ -561,7 +561,7 @@ func (a *bufownPass) transferCall(call *ast.CallExpr) bool {
 		return true // Data, Watermark, and friends wrap payloads
 	case pkg == commPkgPath && recv == "" && name == "newBroadcastFrame":
 		return true
-	case pkg == commPkgPath && recv == "Transport" && (name == "Republish" || name == "RepublishWithHint"):
+	case pkg == commPkgPath && recv == "Transport" && name == "RepublishWithHint":
 		return true // a relay republish consumes the verbatim wire frame
 	case pkg == "container/heap" && recv == "" && name == "Push":
 		return true // the heap owns the item until Pop hands it back

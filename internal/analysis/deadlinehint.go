@@ -1,37 +1,32 @@
-// The deadlinehint analyzer keeps deadline slack visible to the runtime's
-// two scheduling surfaces. On the wire, (*comm.Transport).Send flushes with
-// a zero hint, so the write-side coalescer (PR 2) cannot batch around the
-// caller's deadline: hot-path code must call SendWithHint — with an explicit
-// zero comm.FlushHint when no deadline genuinely applies — so every flush
-// decision is deliberate. The same applies to fanout: Multicast flushes
-// every shared-frame copy with zero slack, so callers must use
-// MulticastWithHint (or MulticastBus, which is always hinted), and to
-// relay republish: Republish drops the envelope's remaining slack on the
-// floor, so relay code must call RepublishWithHint to propagate it across
-// the republish hop. On the run queues, (*lattice.Lattice).Submit
-// enqueues with no deadline, so EDF dispatch treats the callback as
-// infinitely slack and a congested shard will starve it last: runtime code
-// must call SubmitDeadline — passing lattice.NoDeadline when the operator
-// really has no budget — so every enqueue states its urgency.
+// The deadlinehint analyzer guards the one surface where a send could
+// still reach the wire without its deadline. Every comm.Transport send
+// (SendWithHint, MulticastTree, RepublishWithHint) takes a FlushHint and
+// every lattice enqueue (SubmitDeadline) takes a deadline, so the API
+// itself makes callers state their urgency — with an explicit zero
+// comm.FlushHint or lattice.NoDeadline when none applies.
 //
-// The transport backend seam adds a third surface: comm.FrameSink is the
-// byte sink the coalescer flushes into, and comm.BufferedConn.FrameBuffers
-// hands out a connection's sink directly. Code outside comm that writes or
-// flushes through either one has stepped below the seam — its bytes bypass
-// the deadline-aware coalescer entirely, so no hint can ever reach them.
-// Such sends must go through (*comm.Transport).SendWithHint instead.
+// The transport backend seam is the surface the API cannot close:
+// comm.FrameSink is the byte sink the coalescer flushes into, and
+// comm.BufferedConn.FrameBuffers hands out a connection's sink directly.
+// Code outside comm that writes or flushes through either one has stepped
+// below the seam — its bytes bypass the deadline-aware coalescer entirely,
+// so no hint can ever reach them. Such sends must go through
+// (*comm.Transport).SendWithHint instead.
 package analysis
 
 import "go/ast"
 
-// DeadlineHint flags unhinted Transport.Send and Lattice.Submit calls.
+// DeadlineHint flags writes below the transport seam outside comm.
 var DeadlineHint = &Analyzer{
 	Name: "deadlinehint",
-	Doc:  "transport sends must carry a flush hint (SendWithHint) and lattice enqueues a deadline (SubmitDeadline) so scheduling sees deadline slack",
+	Doc:  "code outside comm must send through the transport (SendWithHint), not write below its seam, so flush decisions see deadline slack",
 	Run:  runDeadlineHint,
 }
 
 func runDeadlineHint(pass *Pass) error {
+	if pass.Pkg.Path == commPkgPath {
+		return nil
+	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -39,43 +34,25 @@ func runDeadlineHint(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(info, call)
-			if fn == nil || fn.Pkg() == nil {
+			// Key on the receiver expression's static type, not the
+			// resolved method — FrameSink's Write and WriteByte resolve to
+			// the embedded io interfaces, which would slip past a
+			// declared-on check.
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
 				return true
 			}
-			if fn.Pkg().Path() == commPkgPath && fn.Name() == "Send" && recvTypeName(fn) == "Transport" {
-				pass.Reportf(call.Pos(),
-					"(*comm.Transport).Send flushes with zero slack; use SendWithHint (pass comm.FlushHint{} if no deadline applies) so the coalescer can batch")
+			tn := namedTypeName(typeOf(info, sel.X))
+			if tn == nil || tn.Pkg() == nil || tn.Pkg().Path() != commPkgPath {
+				return true
 			}
-			if fn.Pkg().Path() == commPkgPath && fn.Name() == "Multicast" && recvTypeName(fn) == "Transport" {
+			switch {
+			case tn.Name() == "FrameSink":
 				pass.Reportf(call.Pos(),
-					"(*comm.Transport).Multicast flushes every copy with zero slack; use MulticastWithHint or MulticastBus (pass comm.FlushHint{} if no deadline applies) so the coalescer can batch the fanout")
-			}
-			if fn.Pkg().Path() == commPkgPath && fn.Name() == "Republish" && recvTypeName(fn) == "Transport" {
+					"comm.FrameSink write below the transport seam bypasses the deadline-aware coalescer; send through (*comm.Transport).SendWithHint so flush decisions see deadline slack")
+			case tn.Name() == "BufferedConn" && sel.Sel.Name == "FrameBuffers":
 				pass.Reportf(call.Pos(),
-					"(*comm.Transport).Republish discards the relay envelope's remaining slack; use RepublishWithHint so the producer's deadline survives the republish hop")
-			}
-			if fn.Pkg().Path() == latticePkgPath && fn.Name() == "Submit" && recvTypeName(fn) == "Lattice" {
-				pass.Reportf(call.Pos(),
-					"(*lattice.Lattice).Submit enqueues with no deadline; use SubmitDeadline (pass lattice.NoDeadline if no budget applies) so EDF dispatch sees the urgency")
-			}
-			// Seam surface: key on the receiver expression's static type,
-			// not the resolved method — FrameSink's Write and WriteByte
-			// resolve to the embedded io interfaces, which would slip past
-			// a declared-on check.
-			if pass.Pkg.Path != commPkgPath {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if tn := namedTypeName(typeOf(info, sel.X)); tn != nil && tn.Pkg() != nil && tn.Pkg().Path() == commPkgPath {
-						switch {
-						case tn.Name() == "FrameSink":
-							pass.Reportf(call.Pos(),
-								"comm.FrameSink write below the transport seam bypasses the deadline-aware coalescer; send through (*comm.Transport).SendWithHint so flush decisions see deadline slack")
-						case tn.Name() == "BufferedConn" && sel.Sel.Name == "FrameBuffers":
-							pass.Reportf(call.Pos(),
-								"comm.BufferedConn.FrameBuffers outside comm exposes the below-seam byte sink; send through (*comm.Transport).SendWithHint so flush decisions see deadline slack")
-						}
-					}
-				}
+					"comm.BufferedConn.FrameBuffers outside comm exposes the below-seam byte sink; send through (*comm.Transport).SendWithHint so flush decisions see deadline slack")
 			}
 			return true
 		})

@@ -224,8 +224,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	case pkg == "net" && (name == "Read" || name == "Write" || name == "ReadFrom" || name == "WriteTo"):
 		return "net connection I/O", true
 	case pkg == commPkgPath && recv == "Transport" &&
-		(name == "Send" || name == "SendWithHint" || name == "SendRelease" ||
-			name == "Dial" || name == "DialBackoff"):
+		(name == "SendWithHint" || name == "Dial" || name == "DialBackoff"):
 		return "comm.Transport." + name, true
 	case pkg == "encoding/gob" && (name == "Encode" || name == "Decode"):
 		return "gob " + name + " (stream I/O)", true

@@ -21,7 +21,6 @@ const (
 	operatorPkgPath = modPath + "/internal/core/operator"
 	messagePkgPath  = modPath + "/internal/core/message"
 	commPkgPath     = modPath + "/internal/core/comm"
-	latticePkgPath  = modPath + "/internal/core/lattice"
 	streamPkgPath   = modPath + "/internal/core/stream"
 	statePkgPath    = modPath + "/internal/core/state"
 	faultsPkgPath   = modPath + "/internal/core/faults"

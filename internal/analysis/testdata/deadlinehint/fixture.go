@@ -1,47 +1,19 @@
-// Fixture for the deadlinehint analyzer: bare Transport.Send versus the
-// hinted variants, bare Lattice.Submit versus SubmitDeadline, and
-// suppression of both.
+// Fixture for the deadlinehint analyzer: writes below the transport seam
+// versus the transport's send calls.
 package fixture
 
 import (
 	"github.com/erdos-go/erdos/internal/core/comm"
-	"github.com/erdos-go/erdos/internal/core/lattice"
 	"github.com/erdos-go/erdos/internal/core/message"
 	"github.com/erdos-go/erdos/internal/core/stream"
-	"github.com/erdos-go/erdos/internal/core/timestamp"
 )
 
-func sends(t *comm.Transport, id stream.ID, m message.Message) {
-	_ = t.Send("peer", id, m) // want "zero slack"
-
-	_ = t.SendWithHint("peer", id, m, comm.FlushHint{}) // hinted: the coalescer can batch
-
-	//erdos:allow deadlinehint fixture exercises the suppression path
-	_ = t.Send("peer", id, m) // wantAllowed "zero slack"
-}
-
-func fanouts(t *comm.Transport, bus *comm.Bus, id stream.ID, m message.Message) {
-	_, _ = t.Multicast([]string{"a", "b"}, id, m) // want "every copy with zero slack"
-
-	// Hinted fanout variants: the shared frame's flush decisions see the
-	// caller's deadline (or its deliberate absence).
-	_, _ = t.MulticastWithHint([]string{"a", "b"}, id, m, comm.FlushHint{})
-	_, _ = t.MulticastBus(bus, []string{"a"}, []string{"b"}, id, m, comm.FlushHint{})
-
-	//erdos:allow deadlinehint fixture exercises the suppression path
-	_, _ = t.Multicast([]string{"a", "b"}, id, m) // wantAllowed "every copy with zero slack"
-}
-
-// republishes exercises the relay hop: a bare Republish throws away the
-// slack the tagRelay envelope carried across the wire, so relay handlers
-// must use the hinted variant.
-func republishes(t *comm.Transport, bus *comm.Bus, id stream.ID, frame []byte) {
-	_, _ = t.Republish(bus, []string{"a"}, []string{"b"}, frame, true, id) // want "discards the relay envelope's remaining slack"
-
+// sends goes through the transport: every send states its hint, so none
+// is flagged.
+func sends(t *comm.Transport, bus *comm.Bus, id stream.ID, m message.Message, frame []byte) {
+	_ = t.SendWithHint("peer", id, m, comm.FlushHint{})
+	_, _ = t.MulticastTree(bus, []string{"a"}, []string{"b"}, nil, id, m, comm.FlushHint{})
 	_, _ = t.RepublishWithHint(bus, []string{"a"}, []string{"b"}, frame, true, id, comm.FlushHint{})
-
-	//erdos:allow deadlinehint fixture exercises the suppression path
-	_, _ = t.Republish(bus, []string{"a"}, []string{"b"}, frame, true, id) // wantAllowed "discards the relay envelope's remaining slack"
 }
 
 // seamWrites exercises the backend-seam surface: interface-dispatched
@@ -51,18 +23,4 @@ func seamWrites(fw comm.FrameSink, bc comm.BufferedConn, b []byte) {
 	_, _ = fw.Write(b)       // want "bypasses the deadline-aware coalescer"
 	_ = fw.Flush()           // want "bypasses the deadline-aware coalescer"
 	_, _ = bc.FrameBuffers() // want "below-seam byte sink"
-
-	//erdos:allow deadlinehint fixture exercises the suppression path
-	_ = fw.Flush() // wantAllowed "bypasses the deadline-aware coalescer"
-}
-
-func submits(l *lattice.Lattice, q *lattice.OpQueue, ts timestamp.Timestamp) {
-	l.Submit(q, lattice.KindMessage, ts, func() {}) // want "no deadline"
-
-	// Deadline-carrying path: EDF dispatch sees the urgency (or its
-	// deliberate absence).
-	l.SubmitDeadline(q, lattice.KindMessage, ts, lattice.NoDeadline, func() {})
-
-	//erdos:allow deadlinehint fixture exercises the suppression path
-	l.Submit(q, lattice.KindMessage, ts, func() {}) // wantAllowed "no deadline"
 }

@@ -1071,7 +1071,7 @@ func (n *Node) runReplay(epoch uint64) {
 				// overtake the retained window. Replay is deliberately
 				// pairwise — no relay hop — since the point is to bypass
 				// the channel that just died.
-				sent, _ := n.Transport.MulticastWithHint(targets, p.id, m, comm.FlushHint{})
+				sent, _ := n.Transport.MulticastTree(nil, nil, targets, nil, p.id, m, comm.FlushHint{})
 				n.forwarded.Add(uint64(sent))
 			}
 		}

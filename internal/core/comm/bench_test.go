@@ -35,7 +35,7 @@ func BenchmarkInterWorkerSend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Send("a", id, message.Data(timestamp.New(uint64(i+1)), payload)); err != nil {
+		if err := c.SendWithHint("a", id, message.Data(timestamp.New(uint64(i+1)), payload), FlushHint{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +52,7 @@ func BenchmarkCommRawRoundtrip(b *testing.B) {
 	var echoTo atomic.Pointer[Transport]
 	done := make(chan struct{}, 1)
 	a, err := Listen("a", "127.0.0.1:0", func(_ string, id stream.ID, m message.Message) {
-		_ = echoTo.Load().Send("c", id, m)
+		_ = echoTo.Load().SendWithHint("c", id, m, FlushHint{})
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -75,7 +75,7 @@ func BenchmarkCommRawRoundtrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Send("a", id, message.Data(timestamp.New(uint64(i+1)), payload)); err != nil {
+		if err := c.SendWithHint("a", id, message.Data(timestamp.New(uint64(i+1)), payload), FlushHint{}); err != nil {
 			b.Fatal(err)
 		}
 		<-done

@@ -38,7 +38,7 @@ func TestShmSpillChunkedOversizeFrame(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-	if err := b.SendBytes("a", stream.NewID(), timestamp.New(1), payload, comm.FlushHint{}, false); err != nil {
+	if err := b.SendWithHint("a", stream.NewID(), message.Data(timestamp.New(1), payload), comm.FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -108,10 +108,9 @@ func TestMulticastBusOverBroadcastGroup(t *testing.T) {
 
 	id := stream.NewID()
 	payload := []byte("one publish, many readers")
-	n, err := src.MulticastBus(bus, names, nil, id,
-		message.Data(timestamp.New(7), payload), comm.FlushHint{})
+	n, err := src.MulticastTree(bus, names, nil, nil, id, message.Data(timestamp.New(7), payload), comm.FlushHint{})
 	if err != nil || n != 2 {
-		t.Fatalf("MulticastBus = (%d, %v), want (2, nil)", n, err)
+		t.Fatalf("MulticastTree = (%d, %v), want (2, nil)", n, err)
 	}
 	if frames, _ := bus.Stats(); frames != 1 {
 		t.Fatalf("bus carried %d frames, want 1", frames)
@@ -135,10 +134,9 @@ func TestMulticastBusOverBroadcastGroup(t *testing.T) {
 	// Kill the medium: the sticky bus error must fold the destinations
 	// back into the pairwise shared-frame path.
 	group.Close()
-	n, err = src.MulticastBus(bus, names, nil, id,
-		message.Data(timestamp.New(8), payload), comm.FlushHint{})
+	n, err = src.MulticastTree(bus, names, nil, nil, id, message.Data(timestamp.New(8), payload), comm.FlushHint{})
 	if n != 2 {
-		t.Fatalf("post-close MulticastBus delivered %d, want 2 (err %v)", n, err)
+		t.Fatalf("post-close MulticastTree delivered %d, want 2 (err %v)", n, err)
 	}
 	for i := 0; i < 2; i++ {
 		select {

@@ -91,12 +91,11 @@ func TestWatermarkClosesEveryEnqueuePath(t *testing.T) {
 	const id stream.ID = 7
 	paths := map[string]func(m message.Message) error{
 		"SendWithHint": func(m message.Message) error { return tr.SendWithHint("x", id, m, hint) },
-		"SendRelease":  func(m message.Message) error { return tr.SendRelease("x", id, m, hint) },
-		"MulticastWithHint": func(m message.Message) error {
-			_, err := tr.MulticastWithHint([]string{"x"}, id, m, hint)
+		"MulticastTree pairwise": func(m message.Message) error {
+			_, err := tr.MulticastTree(nil, nil, []string{"x"}, nil, id, m, hint)
 			return err
 		},
-		"MulticastTree": func(m message.Message) error {
+		"MulticastTree relay": func(m message.Message) error {
 			_, err := tr.MulticastTree(nil, nil, nil, []RelayDest{{Relay: "x", Cover: []string{"y"}}}, id, m, hint)
 			return err
 		},
@@ -127,7 +126,9 @@ func TestWatermarkClosesEveryEnqueuePath(t *testing.T) {
 			if o.closes != m.IsWatermark() || !o.flushBy.Equal(hint.FlushBy) {
 				t.Errorf("%s %v: queued closes=%v flushBy=%v", name, m.Kind, o.closes, o.flushBy)
 			}
-			releaseOut(o)
+			if o.bcast != nil {
+				o.bcast.release()
+			}
 		}
 	}
 
@@ -184,8 +185,8 @@ func TestHintedPairSharesOneFlush(t *testing.T) {
 		{"SendWithHint", "a", []*Transport{rig.src}, func(m message.Message) error {
 			return rig.src.SendWithHint("a", id, m, hint)
 		}},
-		{"MulticastWithHint", "a", []*Transport{rig.src}, func(m message.Message) error {
-			_, err := rig.src.MulticastWithHint([]string{"a"}, id, m, hint)
+		{"MulticastTree pairwise", "a", []*Transport{rig.src}, func(m message.Message) error {
+			_, err := rig.src.MulticastTree(nil, nil, []string{"a"}, nil, id, m, hint)
 			return err
 		}},
 		// The relay envelope leaves src; the relay's handler republishes
@@ -248,8 +249,8 @@ func TestHintedPairSharesOneFlush(t *testing.T) {
 	waitFrameBalance(t)
 }
 
-// TestSendBytesRoundtrip: the no-boxing send path delivers byte-for-byte
-// what SendWithHint would, and records per-peer coalescing telemetry.
+// TestSendBytesRoundtrip: a []byte payload arrives byte-for-byte with its
+// timestamp, and the send records per-peer coalescing telemetry.
 func TestSendBytesRoundtrip(t *testing.T) {
 	got := make(chan message.Message, 1)
 	a, err := Listen("sb-a", "127.0.0.1:0", func(_ string, _ stream.ID, m message.Message) {
@@ -270,7 +271,7 @@ func TestSendBytesRoundtrip(t *testing.T) {
 
 	payload := []byte("deadline-driven")
 	ts := timestamp.New(7, 3)
-	if err := c.SendBytes("sb-a", 42, ts, payload, FlushHint{}, false); err != nil {
+	if err := c.SendWithHint("sb-a", 42, message.Data(ts, payload), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	m := <-got
@@ -288,16 +289,5 @@ func TestSendBytesRoundtrip(t *testing.T) {
 	}
 	if ps.Frames == 0 || ps.Bytes == 0 {
 		t.Fatalf("per-peer counters empty: %+v", ps)
-	}
-
-	// The release variant recycles a pooled payload after the write.
-	rp := AcquirePayload(9)
-	copy(rp, "recycled!")
-	if err := c.SendBytes("sb-a", 42, timestamp.New(8), rp, FlushHint{}, true); err != nil {
-		t.Fatal(err)
-	}
-	m = <-got
-	if b, ok := m.Payload.([]byte); !ok || string(b) != "recycled!" {
-		t.Fatalf("release payload %v", m.Payload)
 	}
 }

@@ -234,10 +234,10 @@ func TestTransportTypedEndToEnd(t *testing.T) {
 		mu.Unlock()
 	})
 	want := testVec{X: -2.5, S: "vec", Ns: []uint64{9}}
-	if err := b.Send("typed-a", 3, message.Data(timestamp.New(1), want)); err != nil {
+	if err := b.SendWithHint("typed-a", 3, message.Data(timestamp.New(1), want), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send("typed-a", 4, message.Data(timestamp.New(2), 150*time.Millisecond)); err != nil {
+	if err := b.SendWithHint("typed-a", 4, message.Data(timestamp.New(2), 150*time.Millisecond), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -278,7 +278,7 @@ func TestUnregisteredFramePayloadFallsBackToGob(t *testing.T) {
 		done <- m
 	})
 	_ = a
-	if err := b.Send("fb-a", 1, message.Data(timestamp.New(1), unregisteredPayload{V: 5})); err != nil {
+	if err := b.SendWithHint("fb-a", 1, message.Data(timestamp.New(1), unregisteredPayload{V: 5}), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -327,7 +327,7 @@ func TestMixedCodecsOneConnection(t *testing.T) {
 			{1, message.Watermark(ts)},
 		}
 		for _, r := range batch {
-			if err := b.Send("mixed-a", r.id, r.m); err != nil {
+			if err := b.SendWithHint("mixed-a", r.id, r.m, FlushHint{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -425,7 +425,7 @@ func TestUnhintedFramesFlushPromptly(t *testing.T) {
 	})
 	_ = a
 	start := time.Now()
-	if err := b.Send("pr-a", 1, message.Data(timestamp.New(1), []byte("x"))); err != nil {
+	if err := b.SendWithHint("pr-a", 1, message.Data(timestamp.New(1), []byte("x")), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -166,8 +166,8 @@ type Transport struct {
 
 	// Relay telemetry: relaySent counts tagRelay envelopes shipped to relay
 	// peers, relayRecv envelopes received, and republished counts the
-	// destinations covered by Republish* calls on this transport (the relay
-	// side's fanout contribution).
+	// destinations covered by RepublishWithHint calls on this transport
+	// (the relay side's fanout contribution).
 	relaySent, relayRecv, republished atomic.Uint64
 
 	// Coalescing telemetry: flushes counts bw.Flush calls, coalesced
@@ -204,7 +204,7 @@ func (t *Transport) CoalesceStats() (flushes, coalesced, lateFlushes uint64) {
 
 // RelayStats returns relay-multicast telemetry: tagRelay envelopes sent to
 // relay peers, envelopes received for republish, and the cumulative count
-// of destinations this transport covered via Republish*.
+// of destinations this transport covered via RepublishWithHint.
 func (t *Transport) RelayStats() (sent, received, republished uint64) {
 	return t.relaySent.Load(), t.relayRecv.Load(), t.republished.Load()
 }
@@ -271,12 +271,6 @@ type FlushHint struct {
 type outMsg struct {
 	id stream.ID
 	m  message.Message
-	// raw, when rawSet, is the data payload of a SendBytes message. It
-	// travels in its own field instead of m.Payload so the hot burst path
-	// never boxes the slice into an interface (one heap allocation per
-	// frame otherwise).
-	raw    []byte
-	rawSet bool
 	// flushBy is the frame's coalescing deadline; zero means flush on
 	// queue drain.
 	flushBy time.Time
@@ -285,9 +279,6 @@ type outMsg struct {
 	// the receiver's watermark callback waits for it, so it flushes on
 	// queue drain whatever its hint.
 	closes bool
-	// release marks a SendRelease message: once the frame is on the wire
-	// the []byte payload is recycled into the payload pool.
-	release bool
 	// bcast, when set, is a pre-encoded fanout frame shared with other
 	// destinations: the write loop copies its bytes into the sink as a
 	// borrowed segment and releases this destination's reference.
@@ -437,10 +428,11 @@ func WithBackend(b Backend, addr string) Option {
 // relay that is not itself a consumer republishes the verbatim bytes
 // without ever paying the payload copy, so decode is only called when the
 // cover includes the relay. decode reads from frame, so it must be called
-// before frame's ownership is transferred (Republish* may recycle it); the
-// returned message is the caller's to release or deliver. The handler owns
-// frame (recycle or hand it to Republish*); it runs on the connection's
-// read goroutine, so a slow handler backpressures the producer link.
+// before frame's ownership is transferred (RepublishWithHint may recycle
+// it); the returned message is the caller's to release or deliver. The
+// handler owns frame (recycle or hand it to RepublishWithHint); it runs on
+// the connection's read goroutine, so a slow handler backpressures the
+// producer link.
 type RelayHandler func(from string, id stream.ID, cover []string, decode func() (message.Message, error), frame []byte, typed bool, hint FlushHint)
 
 // WithRelayHandler registers the transport as a relay: its hello advertises
@@ -631,28 +623,15 @@ func (t *Transport) dropPeer(p *peer) {
 	p.close()
 }
 
-// releaseOut returns the pooled resources an undelivered queued message
-// holds: a shared fanout frame's reference, or a relinquished
-// SendRelease payload.
-func releaseOut(o outMsg) {
-	if o.bcast != nil {
-		o.bcast.release()
-		return
-	}
-	if o.release {
-		if o.rawSet {
-			RecyclePayload(o.raw)
-		} else {
-			ReleaseMessage(o.m)
-		}
-	}
-}
-
+// drainQueue releases the pooled resource each undelivered queued message
+// holds: a shared fanout frame's reference.
 func drainQueue(out chan outMsg) {
 	for {
 		select {
 		case o := <-out:
-			releaseOut(o)
+			if o.bcast != nil {
+				o.bcast.release()
+			}
 		default:
 			return
 		}
@@ -673,54 +652,33 @@ func (t *Transport) drainPeer(p *peer) {
 	t.mu.Unlock()
 }
 
-// Send transmits m on stream id to the named peer. The lookup is lock-free
-// and the sent counter is only incremented once the message is actually
-// queued on a live connection.
-func (t *Transport) Send(peerName string, id stream.ID, m message.Message) error {
-	return t.SendWithHint(peerName, id, m, FlushHint{})
-}
-
-// SendWithHint is Send with a coalescing deadline: the transport may hold a
-// data frame in the peer's write buffer until hint.FlushBy (bounded by the
-// byte budget and maximum hold time) to batch it with neighboring frames —
-// typically its timestamp's watermark, which ends the hold.
+// SendWithHint transmits m on stream id to the named peer with a
+// coalescing deadline: the transport may hold a data frame in the peer's
+// write buffer until hint.FlushBy (bounded by the byte budget and maximum
+// hold time) to batch it with neighboring frames — typically its
+// timestamp's watermark, which ends the hold. The zero hint flushes on
+// queue drain. The lookup is lock-free and the sent counter is only
+// incremented once the message is actually queued on a live connection.
+// The caller must leave a []byte payload untouched until it is on the
+// wire.
 func (t *Transport) SendWithHint(peerName string, id stream.ID, m message.Message, hint FlushHint) error {
-	return t.send(peerName, outMsg{id: id, m: m, flushBy: hint.FlushBy, closes: m.IsWatermark()})
-}
-
-// SendRelease is SendWithHint for messages whose []byte payload came from
-// AcquirePayload and is handed off with the call: once the frame is on the
-// wire the payload is recycled into the pool. The caller must not touch
-// m.Payload afterwards. Non-[]byte payloads are sent normally.
-func (t *Transport) SendRelease(peerName string, id stream.ID, m message.Message, hint FlushHint) error {
-	return t.send(peerName, outMsg{id: id, m: m, flushBy: hint.FlushBy, closes: m.IsWatermark(), release: true})
-}
-
-// SendBytes transmits a data message whose payload is payload's raw bytes.
-// Unlike Send/SendWithHint with a []byte payload, the slice never rides the
-// message's any-typed field, so the hot burst path makes no per-frame boxing
-// allocation. The caller must keep payload untouched until the frame is on
-// the wire (release semantics as in Send); pass release=true for a slice
-// from AcquirePayload that the transport should recycle once written.
-func (t *Transport) SendBytes(peerName string, id stream.ID, ts timestamp.Timestamp, payload []byte, hint FlushHint, release bool) error {
-	return t.send(peerName, outMsg{
-		id:      id,
-		m:       message.Message{Kind: message.KindData, Timestamp: ts},
-		raw:     payload,
-		rawSet:  true,
-		flushBy: hint.FlushBy,
-		release: release,
-	})
-}
-
-func (t *Transport) send(peerName string, o outMsg) error {
 	p := (*t.peers.Load())[peerName]
 	if p == nil {
 		return fmt.Errorf("comm: %s has no peer %q", t.name, peerName)
 	}
+	o := outMsg{id: id, m: m, flushBy: hint.FlushBy, closes: m.IsWatermark()}
 	if p.vc != nil {
 		return t.sendValue(p, o)
 	}
+	return t.sendFramed(p, o)
+}
+
+// sendFramed dispatches a message that p receives as frame bytes: ring
+// links frame and publish it synchronously, queued links hand it to the
+// write loop. For a shared frame, on success the destination owns one
+// reference (its write loop — or the drain that follows its death —
+// releases it); on error the caller still does.
+func (t *Transport) sendFramed(p *peer, o outMsg) error {
 	if p.direct {
 		return t.sendDirect(p, o)
 	}
@@ -735,15 +693,10 @@ func (t *Transport) send(peerName string, o outMsg) error {
 
 // sendValue hands the message value to a same-process peer through the
 // connection's ValueConn capability: no framing, no codec, no copy.
-// Ownership of the payload transfers to the receiver, which makes the
-// release flag moot — the receiving handler recycles pooled payloads
-// under the ordinary receive-path contract.
+// Ownership of the payload transfers to the receiver, which recycles
+// pooled payloads under the ordinary receive-path contract.
 func (t *Transport) sendValue(p *peer, o outMsg) error {
-	m := o.m
-	if o.rawSet {
-		m.Payload = o.raw
-	}
-	if err := p.vc.SendValue(o.id, m); err != nil {
+	if err := p.vc.SendValue(o.id, o.m); err != nil {
 		t.dropPeer(p)
 		return err
 	}
@@ -770,15 +723,6 @@ func (t *Transport) sendDirect(p *peer, o outMsg) error {
 	n, _, err := t.writeMsg(p, o)
 	if err == nil {
 		err = p.fw.Flush()
-	}
-	if err == nil && o.release {
-		// The bytes are already staged in the ring, so the relinquished
-		// payload recycles immediately.
-		if o.rawSet {
-			RecyclePayload(o.raw)
-		} else {
-			ReleaseMessage(o.m)
-		}
 	}
 	if err == nil && o.bcast != nil {
 		// This destination's bytes are staged; its reference to the
@@ -1023,19 +967,12 @@ func rawEligible(m message.Message) bool {
 // directly from the message (no intermediate copy). Returns bytes written.
 func writeRawFrame(fw FrameSink, id stream.ID, m message.Message) (int, error) {
 	raw, _ := m.Payload.([]byte)
-	return writeRawParts(fw, id, m.Kind, m.Timestamp, raw, m.IsData())
-}
-
-// writeRawParts is writeRawFrame with the payload already unboxed — the
-// SendBytes path hands the slice directly so framing never touches an
-// interface value.
-func writeRawParts(fw FrameSink, id stream.ID, kind message.Kind, ts timestamp.Timestamp, raw []byte, data bool) (int, error) {
 	sp := scratchPool.Get().(*[]byte)
 	buf := append((*sp)[:0], tagRaw)
 	buf = binary.AppendUvarint(buf, uint64(id))
-	buf = append(buf, byte(kind))
-	buf = ts.AppendBinary(buf)
-	if !data {
+	buf = append(buf, byte(m.Kind))
+	buf = m.Timestamp.AppendBinary(buf)
+	if !m.IsData() {
 		raw = nil
 	} else {
 		buf = binary.AppendUvarint(buf, uint64(len(raw)))
@@ -1365,13 +1302,6 @@ func (t *Transport) writeMsg(p *peer, o outMsg) (n int, viaGob bool, err error) 
 		}
 		return n, false, err
 	}
-	if o.rawSet {
-		n, err = writeRawParts(p.fw, o.id, message.KindData, o.m.Timestamp, o.raw, true)
-		if err == nil {
-			t.rawSent.Add(1)
-		}
-		return n, false, err
-	}
 	if rawEligible(o.m) {
 		n, err = writeRawFrame(p.fw, o.id, o.m)
 		if err == nil {
@@ -1542,15 +1472,6 @@ func (t *Transport) writeLoop(p *peer) {
 		}
 		if err != nil {
 			return false
-		}
-		if o.release {
-			// The frame is in the write buffer (bufio copied the bytes),
-			// so the caller-relinquished payload can be recycled now.
-			if o.rawSet {
-				RecyclePayload(o.raw)
-			} else {
-				ReleaseMessage(o.m)
-			}
 		}
 		p.statFrames.Add(1)
 		p.statBytes.Add(uint64(n))

@@ -70,7 +70,7 @@ func TestTransportDeliversStructs(t *testing.T) {
 	}
 	id := stream.NewID()
 	want := obstacle{X: 1.5, Y: -2, Tag: "ped"}
-	if err := b.Send("a", id, message.Data(timestamp.New(3), want)); err != nil {
+	if err := b.SendWithHint("a", id, message.Data(timestamp.New(3), want), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -103,7 +103,7 @@ func TestTransportBidirectional(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := stream.NewID()
-	if err := b.Send("a", id, message.Data(timestamp.New(1), []byte("to-a"))); err != nil {
+	if err := b.SendWithHint("a", id, message.Data(timestamp.New(1), []byte("to-a")), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -113,7 +113,7 @@ func TestTransportBidirectional(t *testing.T) {
 	}
 	// The accept side registered b as a peer too: reply over the same
 	// session.
-	if err := a.Send("b", id, message.Data(timestamp.New(2), []byte("to-b"))); err != nil {
+	if err := a.SendWithHint("b", id, message.Data(timestamp.New(2), []byte("to-b")), FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -146,7 +146,7 @@ func TestTransportOrderingPerPeer(t *testing.T) {
 	id := stream.NewID()
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := b.Send("a", id, message.Data(timestamp.New(uint64(i)), []byte{1})); err != nil {
+		if err := b.SendWithHint("a", id, message.Data(timestamp.New(uint64(i)), []byte{1}), FlushHint{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestRawFastPathRoundTrip(t *testing.T) {
 		message.Top(),
 	}
 	for _, m := range sent {
-		if err := b.Send("a", id, m); err != nil {
+		if err := b.SendWithHint("a", id, m, FlushHint{}); err != nil {
 			t.Fatalf("send %v: %v", m, err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestSendFailureDoesNotCountAsSent(t *testing.T) {
 	var failedSends atomic.Uint64
 	go func() {
 		for i := 0; ; i++ {
-			if err := c.Send("a", id, message.Data(timestamp.New(uint64(i+1)), payload)); err != nil {
+			if err := c.SendWithHint("a", id, message.Data(timestamp.New(uint64(i+1)), payload), FlushHint{}); err != nil {
 				failedSends.Add(1)
 				return
 			}
@@ -319,7 +319,7 @@ func TestSendToUnknownPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Send("ghost", stream.NewID(), message.Top()); err == nil {
+	if err := a.SendWithHint("ghost", stream.NewID(), message.Top(), FlushHint{}); err == nil {
 		t.Fatal("send to unknown peer must fail")
 	}
 }
@@ -378,7 +378,7 @@ func TestManyPeers(t *testing.T) {
 	}
 	id := stream.NewID()
 	for i := 0; i < 5; i++ {
-		if err := hub.Send(fmt.Sprintf("s%d", i), id, message.Data(timestamp.New(0), []byte("x"))); err != nil {
+		if err := hub.SendWithHint(fmt.Sprintf("s%d", i), id, message.Data(timestamp.New(0), []byte("x")), FlushHint{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -51,7 +51,7 @@ func TestTransportOverInproc(t *testing.T) {
 	type opaque struct{ n int }
 	sent := &opaque{n: 42}
 	id := stream.NewID()
-	if err := b.Send("a", id, message.Message{Kind: message.KindData, Timestamp: timestamp.New(1), Payload: sent}); err != nil {
+	if err := b.SendWithHint("a", id, message.Message{Kind: message.KindData, Timestamp: timestamp.New(1), Payload: sent}, comm.FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -64,10 +64,10 @@ func TestTransportOverInproc(t *testing.T) {
 	}
 
 	// Reply over the accept side, plus a watermark.
-	if err := a.Send("b", id, message.Data(timestamp.New(2), []byte("reply"))); err != nil {
+	if err := a.SendWithHint("b", id, message.Data(timestamp.New(2), []byte("reply")), comm.FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("b", id, message.Watermark(timestamp.New(2))); err != nil {
+	if err := a.SendWithHint("b", id, message.Watermark(timestamp.New(2)), comm.FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -123,10 +123,9 @@ func TestInprocMulticastPayloadOwnership(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	n, err := src.Multicast([]string{"r1", "r2"}, stream.NewID(),
-		message.Data(timestamp.New(1), payload))
+	n, err := src.MulticastTree(nil, nil, []string{"r1", "r2"}, nil, stream.NewID(), message.Data(timestamp.New(1), payload), comm.FlushHint{})
 	if err != nil || n != 2 {
-		t.Fatalf("Multicast = (%d, %v), want (2, nil)", n, err)
+		t.Fatalf("MulticastTree = (%d, %v), want (2, nil)", n, err)
 	}
 	for i := 0; i < 2; i++ {
 		select {
@@ -159,7 +158,7 @@ func TestInprocPeerDeathUnblocks(t *testing.T) {
 	b.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := a.Send("b", stream.NewID(), message.Data(timestamp.New(1), []byte("x"))); err != nil {
+		if err := a.SendWithHint("b", stream.NewID(), message.Data(timestamp.New(1), []byte("x")), comm.FlushHint{}); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {

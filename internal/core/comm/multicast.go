@@ -1,7 +1,7 @@
 // Single-encode fanout. D3's pipelines are fan-out heavy — one sensor
 // frame feeds perception, prediction, logging and recording — yet a naive
 // data plane encodes and copies the frame once per subscriber link.
-// Multicast makes a one-to-many send cost one encode and ~one copy:
+// MulticastTree makes a one-to-many send cost one encode and ~one copy:
 //
 //   - the frame is encoded once into a pooled, atomically refcounted
 //     buffer (broadcastFrame) shared by every destination's write loop;
@@ -10,7 +10,7 @@
 //     returns the buffer to the payload pool;
 //   - same-host destinations attached to a shared-memory broadcast ring
 //     (a Bus) are covered by a single ring publish instead of one write
-//     per link (MulticastBus);
+//     per link;
 //   - same-process destinations whose connection offers the ValueConn
 //     capability (the inproc backend) receive the message *value* with no
 //     serialization at all.
@@ -203,32 +203,6 @@ func (b *Bus) writeUnbounded(frame []byte) error {
 	return nil
 }
 
-// Multicast sends m on stream id to every named peer with one encode and
-// a shared buffer, with no coalescing hint: every copy flushes on queue
-// drain. Prefer MulticastWithHint on deadline-carrying paths.
-// It returns how many destinations accepted the message and the first
-// error encountered; delivery to the remaining destinations is still
-// attempted after an error (fanout consumers fail independently).
-func (t *Transport) Multicast(peerNames []string, id stream.ID, m message.Message) (int, error) {
-	return t.multicast(nil, nil, peerNames, nil, id, m, FlushHint{})
-}
-
-// MulticastWithHint is Multicast with a coalescing deadline shared by
-// every copy.
-func (t *Transport) MulticastWithHint(peerNames []string, id stream.ID, m message.Message, hint FlushHint) (int, error) {
-	return t.multicast(nil, nil, peerNames, nil, id, m, hint)
-}
-
-// MulticastBus is MulticastWithHint where busPeers are additionally
-// reachable through bus: one publish onto the bus covers all of them,
-// and peerNames get the shared-frame pairwise path. When the frame
-// cannot ride the bus (too large, bus medium dead, or a payload with no
-// binary encoding), busPeers fold into the pairwise set — every bus
-// destination must therefore also be a connected peer.
-func (t *Transport) MulticastBus(bus *Bus, busPeers, peerNames []string, id stream.ID, m message.Message, hint FlushHint) (int, error) {
-	return t.multicast(bus, busPeers, peerNames, nil, id, m, hint)
-}
-
 // RelayDest is one remote host's share of a relay multicast: Relay names
 // the designated relay worker on that host and Cover lists every consumer
 // it republishes to (the relay itself included when it consumes the
@@ -252,17 +226,27 @@ type RelayDest struct {
 	Retained bool
 }
 
-// MulticastTree is MulticastBus extended with host-aware relays: each
-// RelayDest receives exactly one tagRelay envelope (the shared refcounted
-// frame wrapped with its remaining deadline slack) and republishes it to
-// its Cover, so the sender's wire cost is one frame per remote host
-// instead of one per consumer. The returned delivered count includes
-// relay-covered consumers.
+// MulticastTree sends m on stream id to every destination with one encode
+// and a shared buffer, under a coalescing deadline shared by every copy
+// (the zero hint flushes each copy on queue drain). Destinations come in
+// three kinds, any of which may be empty:
+//
+//   - busPeers are reachable through bus: one publish onto the bus covers
+//     all of them. When the frame cannot ride the bus (too large, bus
+//     medium dead, or a payload with no binary encoding), busPeers fold
+//     into the pairwise set — every bus destination must therefore also
+//     be a connected peer. A nil bus folds them at once.
+//   - peerNames get the shared-frame pairwise path.
+//   - each RelayDest receives exactly one tagRelay envelope (the shared
+//     refcounted frame wrapped with its remaining deadline slack) and
+//     republishes it to its Cover, so the sender's wire cost is one frame
+//     per remote host instead of one per consumer.
+//
+// It returns how many destinations accepted the message, relay-covered
+// consumers included, and the first error encountered; delivery to the
+// remaining destinations is still attempted after an error (fanout
+// consumers fail independently).
 func (t *Transport) MulticastTree(bus *Bus, busPeers, peerNames []string, relays []RelayDest, id stream.ID, m message.Message, hint FlushHint) (int, error) {
-	return t.multicast(bus, busPeers, peerNames, relays, id, m, hint)
-}
-
-func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []RelayDest, id stream.ID, m message.Message, hint FlushHint) (int, error) {
 	if bus == nil && len(busPeers) > 0 {
 		peerNames = append(append(make([]string, 0, len(peerNames)+len(busPeers)), peerNames...), busPeers...)
 		busPeers = nil
@@ -310,7 +294,7 @@ func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []R
 	}
 	closes := m.IsWatermark()
 	sendSolo := func(name string) {
-		if err := t.send(name, outMsg{id: id, m: m, flushBy: hint.FlushBy, closes: closes}); err != nil {
+		if err := t.SendWithHint(name, id, m, hint); err != nil {
 			fail(err)
 		} else {
 			delivered++
@@ -469,7 +453,7 @@ func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []R
 	bf := newBroadcastFrame(sink.b, typed, int32(len(share)+len(relayPeers)))
 	for _, p := range share {
 		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy, closes: closes}
-		if err := t.sendShared(p, o); err != nil {
+		if err := t.sendFramed(p, o); err != nil {
 			// The destination never took ownership: this reference is
 			// still the sender's to drop.
 			bf.release()
@@ -485,7 +469,7 @@ func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []R
 	// instead (see RelayDest), deferring the suffix to the caller's replay.
 	for i, p := range relayPeers {
 		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy, closes: closes, relay: true, cover: relayDests[i].Cover}
-		if err := t.sendShared(p, o); err != nil {
+		if err := t.sendFramed(p, o); err != nil {
 			bf.release()
 			fail(err)
 			if !relayDests[i].Retained {
@@ -505,30 +489,18 @@ func (t *Transport) multicast(bus *Bus, busPeers, peerNames []string, relays []R
 	return delivered, firstErr
 }
 
-// Republish re-broadcasts one received wire frame to local consumers at a
-// relay: ring members are covered by a single unbounded bus publish (a
-// frame beyond the producer-side cap streams as a chunked train), the rest
-// take the refcounted shared-frame pairwise path. It takes ownership of
-// frame (a pooled buffer, the complete tagRaw/tagTyped encoding) and
-// carries no deadline hint: every copy flushes on queue drain. Prefer
-// RepublishWithHint on deadline-carrying paths.
-func (t *Transport) Republish(bus *Bus, busPeers, peerNames []string, frame []byte, typed bool, id stream.ID) (int, error) {
-	return t.republish(bus, busPeers, peerNames, frame, typed, id, FlushHint{})
-}
-
-// RepublishWithHint is Republish with a coalescing deadline shared by
-// every copy — at a relay, the envelope's remaining slack minus time
-// spent queued.
+// RepublishWithHint re-broadcasts one received wire frame to local
+// consumers at a relay: ring members are covered by a single unbounded bus
+// publish (a frame beyond the producer-side cap streams as a chunked
+// train), the rest take the refcounted shared-frame pairwise path, every
+// copy under one coalescing deadline — at a relay, the envelope's
+// remaining slack minus time spent queued. It takes ownership of frame (a
+// pooled buffer, the complete tagRaw/tagTyped encoding). Unlike
+// MulticastTree it never re-encodes: the frame is the producer's shared
+// encoding, so every destination must speak it — a missing peer, a
+// ValueConn link, or codec skew is an error rather than a downgrade (the
+// cluster only relays between same-build workers).
 func (t *Transport) RepublishWithHint(bus *Bus, busPeers, peerNames []string, frame []byte, typed bool, id stream.ID, hint FlushHint) (int, error) {
-	return t.republish(bus, busPeers, peerNames, frame, typed, id, hint)
-}
-
-// republish fans a verbatim wire frame out locally. Unlike multicast it
-// never re-encodes: the frame is the producer's shared encoding, so every
-// destination must speak it — a missing peer, a ValueConn link, or codec
-// skew is an error rather than a downgrade (the cluster only relays
-// between same-build workers).
-func (t *Transport) republish(bus *Bus, busPeers, peerNames []string, frame []byte, typed bool, id stream.ID, hint FlushHint) (int, error) {
 	var delivered int
 	var firstErr error
 	fail := func(err error) {
@@ -572,7 +544,7 @@ func (t *Transport) republish(bus *Bus, busPeers, peerNames []string, frame []by
 	closes := frameCloses(frame)
 	for _, p := range share {
 		o := outMsg{id: id, bcast: bf, flushBy: hint.FlushBy, closes: closes}
-		if err := t.sendShared(p, o); err != nil {
+		if err := t.sendFramed(p, o); err != nil {
 			bf.release()
 			fail(err)
 		} else {
@@ -585,20 +557,4 @@ func (t *Transport) republish(bus *Bus, busPeers, peerNames []string, frame []by
 	bf.release()
 	t.republished.Add(uint64(delivered))
 	return delivered, firstErr
-}
-
-// sendShared dispatches a shared-frame message to p. On success the
-// destination owns one reference (its write loop — or the drain that
-// follows its death — releases it); on error the caller still does.
-func (t *Transport) sendShared(p *peer, o outMsg) error {
-	if p.direct {
-		return t.sendDirect(p, o)
-	}
-	select {
-	case p.out <- o:
-		t.sent.Add(1)
-		return nil
-	case <-p.done:
-		return errors.New("comm: peer connection closed")
-	}
 }

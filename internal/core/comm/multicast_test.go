@@ -85,10 +85,9 @@ func TestMulticastSingleEncode(t *testing.T) {
 	acq0, _ := BroadcastFrameStats()
 
 	v := testVec{X: 2.5, S: "fanout", Ns: []uint64{7, 11, 13}}
-	n, err := rig.src.Multicast(rig.names, stream.NewID(),
-		message.Data(timestamp.New(1), v))
+	n, err := rig.src.MulticastTree(nil, nil, rig.names, nil, stream.NewID(), message.Data(timestamp.New(1), v), FlushHint{})
 	if err != nil || n != 3 {
-		t.Fatalf("Multicast = (%d, %v), want (3, nil)", n, err)
+		t.Fatalf("MulticastTree = (%d, %v), want (3, nil)", n, err)
 	}
 	for i, ch := range rig.got {
 		select {
@@ -122,10 +121,9 @@ func TestMulticastCodecSkewDowngrade(t *testing.T) {
 	})
 
 	v := testVec{X: -1, S: "skew", Ns: []uint64{1}}
-	n, err := rig.src.Multicast(rig.names, stream.NewID(),
-		message.Data(timestamp.New(1), v))
+	n, err := rig.src.MulticastTree(nil, nil, rig.names, nil, stream.NewID(), message.Data(timestamp.New(1), v), FlushHint{})
 	if err != nil || n != 3 {
-		t.Fatalf("Multicast = (%d, %v), want (3, nil)", n, err)
+		t.Fatalf("MulticastTree = (%d, %v), want (3, nil)", n, err)
 	}
 	for i, ch := range rig.got {
 		select {
@@ -157,10 +155,9 @@ func TestMulticastBusOversizeFoldsPairwise(t *testing.T) {
 	bus := NewBus(&frameBuf{}, 8) // every realistic frame exceeds 8 bytes
 
 	payload := make([]byte, 1024)
-	n, err := rig.src.MulticastBus(bus, rig.names, nil, stream.NewID(),
-		message.Data(timestamp.New(1), payload), FlushHint{})
+	n, err := rig.src.MulticastTree(bus, rig.names, nil, nil, stream.NewID(), message.Data(timestamp.New(1), payload), FlushHint{})
 	if err != nil || n != 2 {
-		t.Fatalf("MulticastBus = (%d, %v), want (2, nil)", n, err)
+		t.Fatalf("MulticastTree = (%d, %v), want (2, nil)", n, err)
 	}
 	if bus.Spills() != 1 {
 		t.Fatalf("bus spills = %d, want 1", bus.Spills())
@@ -187,8 +184,7 @@ func TestMulticastBusOversizeFoldsPairwise(t *testing.T) {
 func TestMulticastMissingPeerStillDeliversRest(t *testing.T) {
 	rig := newFanoutRig(t, 2)
 	names := append([]string{"ghost"}, rig.names...)
-	n, err := rig.src.Multicast(names, stream.NewID(),
-		message.Data(timestamp.New(1), []byte("partial")))
+	n, err := rig.src.MulticastTree(nil, nil, names, nil, stream.NewID(), message.Data(timestamp.New(1), []byte("partial")), FlushHint{})
 	if err == nil {
 		t.Fatal("Multicast with a missing peer returned nil error")
 	}
@@ -250,9 +246,7 @@ func TestMulticastRefcountStress(t *testing.T) {
 				payload := make([]byte, 64+(i%1024))
 				// Errors are expected once the dying peer drops out;
 				// fanout destinations fail independently.
-				_, _ = rig.src.MulticastWithHint(rig.names, id,
-					message.Data(timestamp.New(uint64(i)), payload),
-					FlushHint{FlushBy: time.Now().Add(time.Duration(s) * time.Millisecond)})
+				_, _ = rig.src.MulticastTree(nil, nil, rig.names, nil, id, message.Data(timestamp.New(uint64(i)), payload), FlushHint{FlushBy: time.Now().Add(time.Duration(s) * time.Millisecond)})
 			}
 		}()
 	}

@@ -44,10 +44,10 @@ func TestReceivedPayloadOwnership(t *testing.T) {
 			}
 			m := message.Data(timestamp.New(1), []byte("payload"))
 			m.Owned = true
-			if err := b.Send("a", stream.NewID(), m); err != nil {
+			if err := b.SendWithHint("a", stream.NewID(), m, comm.FlushHint{}); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Send("a", stream.NewID(), message.Watermark(timestamp.New(1))); err != nil {
+			if err := b.SendWithHint("a", stream.NewID(), message.Watermark(timestamp.New(1)), comm.FlushHint{}); err != nil {
 				t.Fatal(err)
 			}
 			data, wm := <-got, <-got

@@ -13,9 +13,7 @@
 //     callback retained it (Context.Retain) or sent it onward, which pins it
 //     for the garbage collector. The contract for a callback is the one
 //     Codec.Unmarshal has: a delivered []byte is valid until the callback
-//     returns;
-//   - senders that relinquish a pooled buffer use Transport.SendRelease,
-//     which recycles it once the frame is on the wire.
+//     returns.
 //
 // Pooling is safe-by-default: a payload that is never recycled — a value
 // delivered over inproc://, a handler that keeps what it receives — is

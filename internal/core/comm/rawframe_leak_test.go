@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -22,6 +23,11 @@ func TestReadRawFrameTruncatedRecyclesPayload(t *testing.T) {
 	}
 	// sync.Pool empties on GC; hold it off so the round trip is deterministic.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A pooled buffer sits in the current P's private slot, which other Ps
+	// cannot reach: with several Ps, a goroutine that migrates between the
+	// seed and the read finds another P's buffer, or none. One P makes the
+	// identity observable.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	// 3MiB rounds up to the 4MiB class. Drain whatever earlier tests left
 	// in that class (holding the refs so they cannot be re-pooled), then

@@ -42,7 +42,7 @@ func TestDialRegistersBothEnds(t *testing.T) {
 			if err := b.Dial(target); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Send("b", stream.NewID(), message.Data(timestamp.New(1), []byte("hello"))); err != nil {
+			if err := a.SendWithHint("b", stream.NewID(), message.Data(timestamp.New(1), []byte("hello")), comm.FlushHint{}); err != nil {
 				t.Fatalf("acceptor cannot send right after Dial returned: %v", err)
 			}
 			select {
@@ -98,7 +98,7 @@ func TestDialRefusesDuplicateName(t *testing.T) {
 	if len(b2.Peers()) != 0 {
 		t.Fatalf("refused dialer registered peers %v", b2.Peers())
 	}
-	if err := a.Send("b", stream.NewID(), message.Data(timestamp.New(1), []byte("still here"))); err != nil {
+	if err := a.SendWithHint("b", stream.NewID(), message.Data(timestamp.New(1), []byte("still here")), comm.FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -24,7 +24,7 @@ func TestShmDisconnectPropagates(t *testing.T) {
 	if err := b.Dial("shm://" + a.AddrOf("shm")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send("a", stream.NewID(), message.Data(timestamp.New(1), []byte("x"))); err != nil {
+	if err := b.SendWithHint("a", stream.NewID(), message.Data(timestamp.New(1), []byte("x")), comm.FlushHint{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Disconnect("b"); err != nil {

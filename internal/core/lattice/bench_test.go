@@ -15,7 +15,7 @@ func BenchmarkSubmitExecute(b *testing.B) {
 	q := l.NewOpQueue(ModeSequential)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Submit(q, KindMessage, timestamp.New(uint64(i)), func() {})
+		l.SubmitDeadline(q, KindMessage, timestamp.New(uint64(i)), NoDeadline, func() {})
 	}
 	l.Quiesce()
 }
@@ -34,7 +34,7 @@ func BenchmarkLatticeThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Submit(qs[i%numOps], KindMessage, timestamp.New(uint64(i)), func() {})
+		l.SubmitDeadline(qs[i%numOps], KindMessage, timestamp.New(uint64(i)), NoDeadline, func() {})
 	}
 	l.Quiesce()
 }
@@ -57,7 +57,7 @@ func BenchmarkLatticeContention(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := next.Add(1)
-			l.Submit(qs[i%numOps], KindMessage, timestamp.New(i), func() {})
+			l.SubmitDeadline(qs[i%numOps], KindMessage, timestamp.New(i), NoDeadline, func() {})
 		}
 	})
 	l.Quiesce()

@@ -22,7 +22,7 @@ func TestShortDeadlineOvertakesSlackRichBacklog(t *testing.T) {
 	gate := make(chan struct{})
 	var blocked atomic.Bool
 	blocker := l.NewOpQueue(ModeSequential)
-	l.Submit(blocker, KindMessage, ts(1), func() {
+	l.SubmitDeadline(blocker, KindMessage, ts(1), NoDeadline, func() {
 		blocked.Store(true)
 		<-gate
 	})
@@ -48,7 +48,7 @@ func TestShortDeadlineOvertakesSlackRichBacklog(t *testing.T) {
 		l.SubmitDeadline(q, KindMessage, ts(uint64(i+1)), 1_000_000, record("perception"))
 	}
 	// A no-deadline callback must order after every deadline-bearing one.
-	l.Submit(l.NewOpQueue(ModeSequential), KindMessage, ts(1), record("logging"))
+	l.SubmitDeadline(l.NewOpQueue(ModeSequential), KindMessage, ts(1), NoDeadline, record("logging"))
 	// The urgent control callback arrives last, at a *later* logical time —
 	// exactly the shape FIFO/timestamp order would bury at the back.
 	control := l.NewOpQueue(ModeSequential)

@@ -252,13 +252,6 @@ func (l *Lattice) newOpQueue(mode Mode, home int) *OpQueue {
 	return q
 }
 
-// Submit enqueues a bound callback for op at timestamp ts with no deadline
-// pressure (it orders after every deadline-bearing callback). Runtime code
-// should prefer SubmitDeadline so EDF dispatch sees the operator's Di.
-func (l *Lattice) Submit(op *OpQueue, kind Kind, ts timestamp.Timestamp, run func()) {
-	l.SubmitDeadline(op, kind, ts, NoDeadline, run)
-}
-
 // SubmitDeadline enqueues a bound callback for op at timestamp ts whose
 // operator must finish ts by the absolute instant deadline (nanoseconds on
 // the caller's clock; pass NoDeadline when no deadline applies). Shard run

@@ -20,7 +20,7 @@ func TestWatermarkCallbacksRunInTimestampOrder(t *testing.T) {
 	var order []uint64
 	for i := 0; i < 50; i++ {
 		i := uint64(i)
-		l.Submit(q, KindWatermark, ts(i), func() {
+		l.SubmitDeadline(q, KindWatermark, ts(i), NoDeadline, func() {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -47,7 +47,7 @@ func TestSequentialModeNeverOverlaps(t *testing.T) {
 		if i%3 == 0 {
 			kind = KindWatermark
 		}
-		l.Submit(q, kind, ts(uint64(i)), func() {
+		l.SubmitDeadline(q, kind, ts(uint64(i)), NoDeadline, func() {
 			n := running.Add(1)
 			for {
 				old := maxRunning.Load()
@@ -73,7 +73,7 @@ func TestParallelMessagesOverlap(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(16)
 	for i := 0; i < 16; i++ {
-		l.Submit(q, KindMessage, ts(uint64(i)), func() {
+		l.SubmitDeadline(q, KindMessage, ts(uint64(i)), NoDeadline, func() {
 			defer wg.Done()
 			n := running.Add(1)
 			for {
@@ -99,11 +99,11 @@ func TestWatermarkWaitsForEarlierMessages(t *testing.T) {
 	q := l.NewOpQueue(ModeParallelMessages)
 	var msgDone atomic.Bool
 	var wmSawMsgDone atomic.Bool
-	l.Submit(q, KindMessage, ts(5), func() {
+	l.SubmitDeadline(q, KindMessage, ts(5), NoDeadline, func() {
 		time.Sleep(5 * time.Millisecond)
 		msgDone.Store(true)
 	})
-	l.Submit(q, KindWatermark, ts(5), func() {
+	l.SubmitDeadline(q, KindWatermark, ts(5), NoDeadline, func() {
 		wmSawMsgDone.Store(msgDone.Load())
 	})
 	l.Quiesce()
@@ -120,11 +120,11 @@ func TestLaterMessagesMayOvertakeWatermarkOfEarlierTime(t *testing.T) {
 	defer l.Stop()
 	q := l.NewOpQueue(ModeParallelMessages)
 	var count atomic.Int32
-	l.Submit(q, KindWatermark, ts(5), func() {
+	l.SubmitDeadline(q, KindWatermark, ts(5), NoDeadline, func() {
 		time.Sleep(time.Millisecond)
 		count.Add(1)
 	})
-	l.Submit(q, KindMessage, ts(10), func() { count.Add(1) })
+	l.SubmitDeadline(q, KindMessage, ts(10), NoDeadline, func() { count.Add(1) })
 	l.Quiesce()
 	if count.Load() != 2 {
 		t.Fatalf("completed %d callbacks, want 2", count.Load())
@@ -139,7 +139,7 @@ func TestCrossOperatorParallelism(t *testing.T) {
 	for op := 0; op < 8; op++ {
 		q := l.NewOpQueue(ModeSequential)
 		wg.Add(1)
-		l.Submit(q, KindWatermark, ts(0), func() {
+		l.SubmitDeadline(q, KindWatermark, ts(0), NoDeadline, func() {
 			defer wg.Done()
 			n := running.Add(1)
 			for {
@@ -168,12 +168,12 @@ func TestAccuracyCoordinatePriority(t *testing.T) {
 	defer l.Stop()
 	gate := l.NewOpQueue(ModeSequential)
 	release := make(chan struct{})
-	l.Submit(gate, KindMessage, ts(0), func() { <-release })
+	l.SubmitDeadline(gate, KindMessage, ts(0), NoDeadline, func() { <-release })
 	var mu sync.Mutex
 	var order []uint64
 	for _, c := range []uint64{1, 3, 2} {
 		c := c
-		l.Submit(l.NewOpQueue(ModeSequential), KindMessage, ts(7, c), func() {
+		l.SubmitDeadline(l.NewOpQueue(ModeSequential), KindMessage, ts(7, c), NoDeadline, func() {
 			mu.Lock()
 			order = append(order, c)
 			mu.Unlock()
@@ -206,9 +206,9 @@ func TestStopDropsPendingAndReturns(t *testing.T) {
 	q := l.NewOpQueue(ModeSequential)
 	started := make(chan struct{})
 	block := make(chan struct{})
-	l.Submit(q, KindMessage, ts(0), func() { close(started); <-block })
+	l.SubmitDeadline(q, KindMessage, ts(0), NoDeadline, func() { close(started); <-block })
 	for i := 0; i < 10; i++ {
-		l.Submit(q, KindMessage, ts(uint64(i+1)), func() {})
+		l.SubmitDeadline(q, KindMessage, ts(uint64(i+1)), NoDeadline, func() {})
 	}
 	<-started
 	done := make(chan struct{})
@@ -225,7 +225,7 @@ func TestSubmitAfterStopIsNoop(t *testing.T) {
 	l := New(1)
 	l.Stop()
 	q := l.NewOpQueue(ModeSequential)
-	l.Submit(q, KindMessage, ts(0), func() { t.Error("callback ran after Stop") })
+	l.SubmitDeadline(q, KindMessage, ts(0), NoDeadline, func() { t.Error("callback ran after Stop") })
 	time.Sleep(10 * time.Millisecond)
 }
 
@@ -238,11 +238,11 @@ func TestStopWakesConcurrentQuiesce(t *testing.T) {
 	q := l.NewOpQueue(ModeSequential)
 	started := make(chan struct{})
 	block := make(chan struct{})
-	l.Submit(q, KindMessage, ts(0), func() { close(started); <-block })
+	l.SubmitDeadline(q, KindMessage, ts(0), NoDeadline, func() { close(started); <-block })
 	// These stay in the op's pending heap: the running callback blocks
 	// promotion in ModeSequential, so none of them reach a run queue.
 	for i := 0; i < 10; i++ {
-		l.Submit(q, KindMessage, ts(uint64(i+1)), func() {})
+		l.SubmitDeadline(q, KindMessage, ts(uint64(i+1)), NoDeadline, func() {})
 	}
 	<-started
 	quiesced := make(chan struct{})
@@ -307,7 +307,7 @@ func TestParallelMessagesWatermarkBarrierStress(t *testing.T) {
 					// enqueued before that watermark (single submitter).
 					lt := wm + 1 + uint64(r.Intn(int(maxL-wm)))
 					s.submitted[lt].Add(1)
-					l.Submit(s.q, KindMessage, ts(lt), func() {
+					l.SubmitDeadline(s.q, KindMessage, ts(lt), NoDeadline, func() {
 						s.running[lt].Add(1)
 						s.done[lt].Add(1) // before running drops; barrier check reads running first
 						s.running[lt].Add(-1)
@@ -319,7 +319,7 @@ func TestParallelMessagesWatermarkBarrierStress(t *testing.T) {
 						wm = maxL
 					}
 					wmv := wm
-					l.Submit(s.q, KindWatermark, ts(wmv), func() {
+					l.SubmitDeadline(s.q, KindWatermark, ts(wmv), NoDeadline, func() {
 						if s.wmActive.Add(1) != 1 {
 							fail(s, "watermark callbacks overlapped")
 						}
@@ -381,14 +381,14 @@ func TestQuickRandomTrafficInvariants(t *testing.T) {
 			if r.Intn(3) == 0 {
 				op.nextWM += uint64(r.Intn(3))
 				tsv = op.nextWM
-				l.Submit(op.q, KindWatermark, ts(tsv), func() {
+				l.SubmitDeadline(op.q, KindWatermark, ts(tsv), NoDeadline, func() {
 					op.mu.Lock()
 					op.wm = append(op.wm, tsv)
 					op.mu.Unlock()
 					ran.Add(1)
 				})
 			} else {
-				l.Submit(op.q, KindMessage, ts(tsv), func() { ran.Add(1) })
+				l.SubmitDeadline(op.q, KindMessage, ts(tsv), NoDeadline, func() { ran.Add(1) })
 			}
 		}
 		l.Quiesce()

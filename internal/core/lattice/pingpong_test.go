@@ -34,7 +34,7 @@ func TestPinnedQueuesStillExecute(t *testing.T) {
 	q := l.NewOpQueuePinned(ModeSequential, 5)
 	var ran atomic.Int32
 	for i := 0; i < 100; i++ {
-		l.Submit(q, KindMessage, ts(uint64(i+1)), func() { ran.Add(1) })
+		l.SubmitDeadline(q, KindMessage, ts(uint64(i+1)), NoDeadline, func() { ran.Add(1) })
 	}
 	l.Quiesce()
 	if ran.Load() != 100 {
@@ -55,7 +55,7 @@ func TestSequentialPingPong(t *testing.T) {
 	const rounds = 5000
 	for i := 0; i < rounds; i++ {
 		want := uint64(i + 1)
-		l.Submit(q, KindMessage, ts(want), func() {
+		l.SubmitDeadline(q, KindMessage, ts(want), NoDeadline, func() {
 			if prev := seq.Swap(want); prev != want-1 {
 				t.Errorf("callback %d ran after %d", want, prev)
 			}
@@ -77,7 +77,7 @@ func BenchmarkLatticePingPong(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		want := uint64(i + 1)
-		l.Submit(q, KindMessage, timestamp.New(want), func() { seq.Store(want) })
+		l.SubmitDeadline(q, KindMessage, timestamp.New(want), NoDeadline, func() { seq.Store(want) })
 		for seq.Load() != want {
 			runtime.Gosched()
 		}

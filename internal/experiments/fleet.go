@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,4 +320,18 @@ func RunFleet(n int) (FleetReport, error) {
 	rep.ControlP99Ms = percentileMs(lats, 99)
 	mu.Unlock()
 	return rep, nil
+}
+
+// percentileMs returns the p-th percentile of ds in milliseconds.
+func percentileMs(ds []time.Duration, p int) float64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	idx := (len(s)*p + 99) / 100
+	if idx > 0 {
+		idx--
+	}
+	return float64(s[idx].Nanoseconds()) / 1e6
 }

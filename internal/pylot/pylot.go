@@ -14,6 +14,7 @@
 package pylot
 
 import (
+	"sync"
 	"time"
 
 	"github.com/erdos-go/erdos/internal/av/control"
@@ -165,12 +166,15 @@ func Build(g *erdos.Graph, cfg Config) Handles {
 		cfg.TargetSpeed = 12
 	}
 	// One generator per operator: watermark callbacks of different
-	// operators run concurrently on the lattice pool, and *trace.Rand is
-	// not safe for concurrent use. Distinct streams also keep each
-	// operator's modeled runtimes deterministic under a seed regardless
-	// of how callbacks interleave across operators.
+	// operators run concurrently on the lattice pool. Distinct streams
+	// keep each operator's modeled runtimes deterministic under a seed
+	// regardless of how callbacks interleave across operators. Each draw
+	// holds its generator's lock: every runtime built from this graph
+	// shares these closures, so two instances of one operator can draw at
+	// once.
 	perceptionRng := trace.New(cfg.Seed)
 	predictionRng := trace.New(cfg.Seed + 1)
+	var perceptionMu, predictionMu sync.Mutex
 
 	// pn namespaces every graph-visible name under Config.Prefix.
 	pn := func(s string) string { return cfg.Prefix + s }
@@ -212,9 +216,15 @@ func Build(g *erdos.Graph, cfg Config) Handles {
 				det = detection.EfficientDet[0]
 			}
 		}
-		emulate(det.Runtime(perceptionRng, len(st.LastObs)), scale, ctx)
+		perceptionMu.Lock()
+		detRuntime := det.Runtime(perceptionRng, len(st.LastObs))
+		perceptionMu.Unlock()
+		emulate(detRuntime, scale, ctx)
 		tracks := st.Tracker.Update(ctx.Timestamp.L, 0.1, st.LastObs)
-		emulate(tracking.SORT.Runtime(perceptionRng, len(tracks)), scale, ctx)
+		perceptionMu.Lock()
+		sortRuntime := tracking.SORT.Runtime(perceptionRng, len(tracks))
+		perceptionMu.Unlock()
+		emulate(sortRuntime, scale, ctx)
 		out := Obstacles{Detector: det.Name}
 		nearest, hasAgent := 0.0, false
 		for _, tr := range tracks {
@@ -262,7 +272,10 @@ func Build(g *erdos.Graph, cfg Config) Handles {
 	predict.OnWatermark(func(ctx *erdos.Context) {
 		last := erdos.StateOf[*predState](ctx).Last
 		horizon := prediction.HorizonForSpeed(cfg.TargetSpeed)
-		emulate(prediction.Linear.Runtime(predictionRng, horizon, len(last.Tracks)), scale, ctx)
+		predictionMu.Lock()
+		predRuntime := prediction.Linear.Runtime(predictionRng, horizon, len(last.Tracks))
+		predictionMu.Unlock()
+		emulate(predRuntime, scale, ctx)
 		tracks := make([]*tracking.Track, len(last.Tracks))
 		for i := range last.Tracks {
 			tracks[i] = &last.Tracks[i]

@@ -8,6 +8,7 @@ import (
 	"github.com/erdos-go/erdos/internal/av/tracking"
 	"github.com/erdos-go/erdos/internal/core/erdos"
 	"github.com/erdos-go/erdos/internal/core/state"
+	"github.com/erdos-go/erdos/internal/core/stream"
 	"github.com/erdos-go/erdos/internal/core/timestamp"
 )
 
@@ -137,5 +138,68 @@ func TestControlCheckpointCarriesPIDIntegrator(t *testing.T) {
 	want := live.Ctl.Speed.Update(0.5, 0.1)
 	if got := restored.Ctl.Speed.Update(0.5, 0.1); got != want {
 		t.Fatalf("restored PID gives %v, live gives %v", got, want)
+	}
+}
+
+// TestTwoRuntimesFromOneBuildDrawSafely runs two runtimes from one Build
+// at once, the way simulated hosts in one process (and a failed-over
+// operator and its adopter) share one graph's closures. Each is fed 20
+// frames concurrently; under -race any generator draw that is not safe
+// for concurrent instances reports a data race.
+func TestTwoRuntimesFromOneBuildDrawSafely(t *testing.T) {
+	const frames = 20
+	g := erdos.NewGraph()
+	h := Build(g, Config{TimeScale: 50, TargetSpeed: 12, Seed: 7})
+	type instance struct {
+		rt   *erdos.Runtime
+		cmds *erdos.Collector[Command]
+		cam  stream.WriteStream[CameraFrame]
+	}
+	var insts []instance
+	for i := 0; i < 2; i++ {
+		rt, err := g.RunLocal(erdos.WithThreads(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Stop)
+		cmds, err := erdos.Collect(rt, h.Commands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cam, err := erdos.Writer(rt, h.Camera)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, instance{rt, cmds, cam})
+	}
+	errs := make(chan error, len(insts))
+	for _, in := range insts {
+		go func(cam stream.WriteStream[CameraFrame]) {
+			for f := 1; f <= frames; f++ {
+				ts := erdos.T(uint64(f))
+				frame := CameraFrame{Seq: uint64(f), EgoSpeed: 12,
+					Agents: []tracking.Observation{{X: 80 - 2*float64(f), Y: 0}}}
+				if err := cam.Send(ts, frame); err != nil {
+					errs <- err
+					return
+				}
+				if err := cam.SendWatermark(ts); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(in.cam)
+	}
+	for range insts {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, in := range insts {
+		in.rt.Quiesce()
+		if in.cmds.Len() == 0 {
+			t.Fatalf("runtime %d produced no commands", i)
+		}
 	}
 }
