@@ -58,12 +58,13 @@ analyze:
 ## relay-multicast pass: wire-frame accounting across simulated hosts and
 ## a relay killed mid-fanout with strict per-tick ledgers across re-election;
 ## plus the real-time bounds kept out of tier-1 behind the chaos build tag
-## (no coalescing hold may flush past a frame's FlushBy)
+## (no coalescing hold may flush past a frame's FlushBy; a dead relay is
+## detected within twice the heartbeat period)
 CHAOS_COUNT ?= 3
 chaos:
 	$(GO) test -race -tags chaos -count $(CHAOS_COUNT) -run 'TestCoalescingNeverFlushesLate' ./internal/core/comm
 	$(GO) test -race -count $(CHAOS_COUNT) -run 'TestChaosWorkerCrash|TestElasticChaosJoinDrainScaleUp' ./internal/pylot
-	$(GO) test -race -count $(CHAOS_COUNT) -run 'TestFailover|TestReassign|TestBroadcastRingClusterFanout|TestGracefulJoin|TestDrain|TestSubmitTenants|TestRelayMulticastCluster|TestRelayFailoverMidFanout' ./internal/core/cluster
+	$(GO) test -race -tags chaos -count $(CHAOS_COUNT) -run 'TestFailover|TestReassign|TestBroadcastRingClusterFanout|TestGracefulJoin|TestDrain|TestSubmitTenants|TestRelayMulticastCluster|TestRelayFailoverMidFanout|TestRelayFailoverDetectionBound' ./internal/core/cluster
 	$(GO) test -race ./internal/core/faults
 
 ## figures: regenerate every paper figure, Fig. 8's messaging benchmarks

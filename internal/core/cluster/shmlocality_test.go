@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -273,45 +272,5 @@ func TestFailoverRingSeverTCPFallback(t *testing.T) {
 			t.Fatalf("duplicate result %d after ring repair", v)
 		}
 		seen[v] = true
-	}
-}
-
-// TestRestoreCutIncludesExtractPoints: an orphaned producer whose only
-// reader is a subscription-only extraction point must restore at the
-// extracting worker's reported frontier, not unconstrained — otherwise a
-// failover could skip outputs the application never received.
-func TestRestoreCutIncludesExtractPoints(t *testing.T) {
-	g := graph.New()
-	in := g.AddStream("in", "int")
-	out := g.AddStream("out", "int")
-	if err := g.MarkIngest(in); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddOperator(&operator.Spec{
-		Name: "prod", Placement: "w1",
-		Inputs: []stream.ID{in}, Outputs: []stream.ID{out},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	assign := map[string]string{"prod": "w1"}
-	frontiers := map[string]map[stream.ID]uint64{"w2": {out: 7}}
-
-	// No extract info: the producer has no operator readers, so the old
-	// behavior let it restore unconstrained.
-	cuts := restoreCuts(g, assign, "w1", frontiers, nil, nil)
-	if cuts["prod"] != math.MaxUint64 {
-		t.Fatalf("cut without extract readers = %d, want unconstrained", cuts["prod"])
-	}
-	// With the extraction point as a reader, its frontier bounds the cut.
-	cuts = restoreCuts(g, assign, "w1", frontiers, nil,
-		map[stream.ID][]string{out: {"w2"}})
-	if cuts["prod"] != 7 {
-		t.Fatalf("cut with extract reader = %d, want 7", cuts["prod"])
-	}
-	// A dead extraction point contributes nothing (it is being re-homed).
-	cuts = restoreCuts(g, assign, "w1", frontiers, nil,
-		map[stream.ID][]string{out: {"w1"}})
-	if cuts["prod"] != math.MaxUint64 {
-		t.Fatalf("cut with dead extractor = %d, want unconstrained", cuts["prod"])
 	}
 }
