@@ -163,6 +163,10 @@ type CongestionReport struct {
 	// broadcast ring cut loose for lagging past EvictAfter; each one fell
 	// back to its pairwise link. Zero at steady state.
 	RelayRingEvictions uint64
+	// Unreached is the cumulative count of consumers this worker's
+	// forwards did not reach (Node.Unreached). Zero at steady state; a
+	// rise marks frames lost to a link that dropped between heartbeats.
+	Unreached uint64
 }
 
 // Score collapses a report into a single placement-ranking pressure value:
@@ -1006,6 +1010,10 @@ type Node struct {
 	drainedOnce  sync.Once
 
 	forwarded atomic.Uint64
+	// unreached counts the consumers a forward did not reach: a link
+	// that dropped between heartbeats, or a retained relay route whose
+	// cover waits for a replay.
+	unreached atomic.Uint64
 	stop      chan struct{}
 	stopOnce  sync.Once
 	wg        sync.WaitGroup
@@ -1470,33 +1478,53 @@ func (n *Node) forward(relays []comm.RelayDest, local []string, broadcast bool, 
 	case len(relays) == 0 && len(local) == 1:
 		if err := n.Transport.SendWithHint(local[0], id, m, hint); err == nil {
 			n.forwarded.Add(1)
+		} else {
+			n.unreached.Add(1)
 		}
 		return
 	}
 	// Consumers not behind a relay split between this node's broadcast
 	// ring and pairwise links.
-	var busPeers, pairPeers []string
 	var bus *comm.Bus
-	if broadcast && n.bus != nil && len(local) > 0 {
-		members := n.bgroup.MemberSet()
-		for _, c := range local {
-			if members[c] {
-				busPeers = append(busPeers, c)
-			} else {
-				pairPeers = append(pairPeers, c)
-			}
-		}
-		if len(busPeers) > 0 {
-			bus = n.bus
-		}
-	} else {
-		pairPeers = local
+	var busPeers []string
+	pairPeers := local
+	if broadcast {
+		bus, busPeers, pairPeers = n.splitBus(local)
 	}
 	// MulticastTree degrades gracefully: a relay the handshake shows
 	// incapable folds its cover back into pairwise sends inside the
-	// transport.
+	// transport. It counts relay-covered consumers among those it
+	// reached, so every consumer it did not reach is one it failed.
 	sent, _ := n.Transport.MulticastTree(bus, busPeers, pairPeers, relays, id, m, hint)
 	n.forwarded.Add(uint64(sent))
+	want := len(local)
+	for _, rd := range relays {
+		want += len(rd.Cover)
+	}
+	if sent < want {
+		n.unreached.Add(uint64(want - sent))
+	}
+}
+
+// splitBus partitions consumers between this node's broadcast ring (the
+// ones attached to it right now) and pairwise links. bus is nil when none
+// rides the ring.
+func (n *Node) splitBus(consumers []string) (bus *comm.Bus, busPeers, pairPeers []string) {
+	if n.bus == nil || n.bgroup == nil || len(consumers) == 0 {
+		return nil, nil, consumers
+	}
+	members := n.bgroup.MemberSet()
+	for _, c := range consumers {
+		if members[c] {
+			busPeers = append(busPeers, c)
+		} else {
+			pairPeers = append(pairPeers, c)
+		}
+	}
+	if len(busPeers) > 0 {
+		bus = n.bus
+	}
+	return bus, busPeers, pairPeers
 }
 
 // relayItem is one tagRelay envelope handed from a read goroutine to the
@@ -1564,23 +1592,7 @@ func (n *Node) republishRelay(it relayItem) {
 		}
 		cover = append(cover, c)
 	}
-	var busPeers, pairPeers []string
-	var bus *comm.Bus
-	if n.bus != nil && n.bgroup != nil && len(cover) > 0 {
-		members := n.bgroup.MemberSet()
-		for _, c := range cover {
-			if members[c] {
-				busPeers = append(busPeers, c)
-			} else {
-				pairPeers = append(pairPeers, c)
-			}
-		}
-		if len(busPeers) > 0 {
-			bus = n.bus
-		}
-	} else {
-		pairPeers = cover
-	}
+	bus, busPeers, pairPeers := n.splitBus(cover)
 	// A self-consuming relay decodes before the republish: RepublishWithHint
 	// takes ownership of the frame the decoder reads from (and may recycle
 	// it), while the decoded payload is a pooled copy of its own, marked
@@ -1602,6 +1614,9 @@ func (n *Node) republishRelay(it relayItem) {
 
 // Forwarded returns how many messages this node shipped to remote peers.
 func (n *Node) Forwarded() uint64 { return n.forwarded.Load() }
+
+// Unreached returns how many consumers this node's forwards did not reach.
+func (n *Node) Unreached() uint64 { return n.unreached.Load() }
 
 // Close tears the node down gracefully.
 func (n *Node) Close() {

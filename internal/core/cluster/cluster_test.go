@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/erdos-go/erdos/internal/core/comm"
+	"github.com/erdos-go/erdos/internal/core/faults"
 	"github.com/erdos-go/erdos/internal/core/graph"
 	"github.com/erdos-go/erdos/internal/core/message"
 	"github.com/erdos-go/erdos/internal/core/operator"
@@ -250,5 +252,61 @@ func TestThreeWorkerFanout(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("fanout result %d never arrived", i)
 		}
+	}
+}
+
+// TestForwardCountsUnreachedConsumer severs the producer's data link to
+// its one consumer and keeps injecting. Link repair waits for a heartbeat
+// tick, which here never comes, so the forwards into the severed link
+// reach no one; the producer must count them rather than drop them in
+// silence, and its congestion report must carry the count.
+func TestForwardCountsUnreachedConsumer(t *testing.T) {
+	g, in, _ := buildGraph(t)
+	l, err := NewLeader("127.0.0.1:0", []string{"w1", "w2"}, g,
+		map[stream.ID]string{in: "w1"}, nil, WithHeartbeat(time.Hour, 2*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Stop()
+	inj := faults.NewInjector(faults.NewSchedule(1).Sever(0, "w1", "w2"))
+	defer inj.Stop()
+	var nodes [2]*Node
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, name := range []string{"w1", "w2"} {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			nodes[i], errs[i] = Join(l.Addr(), name, g, worker.Options{},
+				WithCommOptions(comm.WithConnHook(inj.Hook(name))))
+		}(i, name)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+		defer nodes[i].Close()
+	}
+	if err := l.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	w1 := nodes[0]
+	if n := w1.Unreached(); n != 0 {
+		t.Fatalf("%d unreached consumers before the sever", n)
+	}
+	inj.Arm()
+	deadline := time.Now().Add(5 * time.Second)
+	for i := uint64(1); w1.Unreached() == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("forwards into the severed link were never counted")
+		}
+		if err := w1.Worker.Inject(in, message.Data(ts(i), int(i))); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if r := w1.congestionReport(); r.Unreached == 0 {
+		t.Fatalf("congestion report hides the unreached consumer: %+v", r)
 	}
 }

@@ -657,10 +657,9 @@ func (n *Node) congestionReport() CongestionReport {
 		r.Peers = n.Transport.PeerCoalesceStats()
 	}
 	r.RelayRepublished = n.relayed.Load()
+	r.Unreached = n.unreached.Load()
 	if n.bgroup != nil {
-		if sc, ok := n.bgroup.Sink().(comm.SpillCounter); ok {
-			r.RelayRingSpills = sc.Spills()
-		}
+		r.RelayRingSpills = n.bgroup.Spills()
 		r.RelayRingEvictions = n.bgroup.Evictions()
 	}
 	return r

@@ -2,7 +2,7 @@
 // negotiation, coalescing, payload pooling, ConnHook fault injection — is
 // byte-transport agnostic, and everything below it is a dumb byte pipe.
 // TCP is the default backend; same-host peers can ride a shared-memory
-// SPSC-ring backend (comm/shm) that plugs in through the same three
+// ring backend (comm/shm) that plugs in through the same three
 // interfaces. Backends carry no framing and no codecs: a backend that
 // re-introduced reflection-based encoding below this seam would undo the
 // zero-gob data plane, which erdos-vet's zerogob analyzer enforces.

@@ -560,6 +560,9 @@ func (t *Transport) DialBackoff(addr string, attempts int, base time.Duration) e
 		if err = t.Dial(addr); err == nil {
 			return nil
 		}
+		if i == attempts-1 {
+			break
+		}
 		time.Sleep(wait)
 		if wait < 32*base {
 			wait *= 2

@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,6 +322,26 @@ func TestSendToUnknownPeer(t *testing.T) {
 	defer a.Close()
 	if err := a.SendWithHint("ghost", stream.NewID(), message.Top(), FlushHint{}); err == nil {
 		t.Fatal("send to unknown peer must fail")
+	}
+}
+
+// TestDialBackoffGivesUpWithoutSleeping dials a closed port once with an
+// hour-long backoff step: the error must come back at once, with no sleep
+// after the final attempt (a sleep there hangs until -timeout).
+func TestDialBackoffGivesUpWithoutSleeping(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+	a, err := Listen("a", "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.DialBackoff(closed, 1, time.Hour); err == nil {
+		t.Fatalf("DialBackoff to closed port %s succeeded", closed)
 	}
 }
 

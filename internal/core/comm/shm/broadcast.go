@@ -1,15 +1,15 @@
-// BroadcastGroup and JoinBroadcast: the OS-facing half of the SPMC
-// broadcast ring. A producer creates one group per host for its
-// broadcast-eligible streams; each same-host consumer joins over a unix
-// rendezvous socket and maps the shared ring file. The producer encodes
-// every fanout frame into the ring exactly once; N readers copy it out
-// through their own cursors. The per-member socket carries the park/wake
-// protocol and liveness, exactly like the SPSC Conn — and doubles as the
-// eviction signal: when a lagging reader is cut loose the producer closes
-// its socket, and the reader surfaces ErrEvicted (or EOF) so the layer
-// above falls back to its per-link connection.
+// BroadcastGroup and JoinBroadcast: the OS-facing half of a broadcast
+// ring with several reader slots. A producer creates one group per host
+// for its broadcast-eligible streams; each same-host consumer joins over
+// a unix rendezvous socket and maps the shared ring file. The producer
+// encodes every fanout frame into the ring exactly once; N readers copy it
+// out through their own cursors. The per-member socket carries the
+// park/wake protocol and liveness, exactly like a Conn's — and doubles as
+// the eviction signal: when a lagging reader is cut loose the producer
+// closes its socket, and the reader surfaces ErrEvicted (or EOF) so the
+// layer above falls back to its per-link connection.
 //
-// Unlike the SPSC rendezvous, the ring file is NOT unlinked after setup:
+// Unlike a Conn's rendezvous, the ring file is NOT unlinked after setup:
 // late joiners must still be able to map it, so it lives until the group
 // closes.
 package shm
@@ -21,7 +21,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +34,7 @@ import (
 // enough that a reader merely descheduled for a tick survives.
 const DefaultEvictAfter = 200 * time.Millisecond
 
-// BroadcastGroup is the producer's end of an SPMC broadcast ring: one
+// BroadcastGroup is the producer's end of a broadcast ring: one
 // shared ring file plus a rendezvous socket that same-host consumers
 // join through. Sink() exposes the ring as a comm.FrameSink suitable
 // for comm.NewBus; all sink and membership operations serialize on the
@@ -45,7 +44,6 @@ type BroadcastGroup struct {
 	ln       net.Listener
 	sockPath string
 	ringPath string
-	mem      []byte
 	br       *bring
 	w        *bringWriter
 
@@ -94,32 +92,13 @@ func (b *Backend) NewBroadcastGroup(maxReaders int) (*BroadcastGroup, error) {
 		return nil, fmt.Errorf("shm: %d broadcast readers exceeds limit %d",
 			maxReaders, maxBroadcastReaders)
 	}
-	size := bringSize(capacity, maxReaders)
-	f, err := os.CreateTemp(b.dir(), "erdos-bring-*")
+	ringPath, br, err := createRing(b.dir(), capacity, maxReaders)
 	if err != nil {
-		return nil, err
-	}
-	ringPath := f.Name()
-	if err := f.Truncate(int64(size)); err != nil {
-		f.Close()
-		os.Remove(ringPath)
-		return nil, err
-	}
-	mem, err := mapFile(f, size)
-	f.Close()
-	if err != nil {
-		os.Remove(ringPath)
-		return nil, err
-	}
-	br, err := initBring(mem, capacity, maxReaders)
-	if err != nil {
-		unmap(mem)
-		os.Remove(ringPath)
 		return nil, err
 	}
 	ln, err := b.Listen("")
 	if err != nil {
-		unmap(mem)
+		discard(br)
 		os.Remove(ringPath)
 		return nil, err
 	}
@@ -129,7 +108,6 @@ func (b *Backend) NewBroadcastGroup(maxReaders int) (*BroadcastGroup, error) {
 		ln:        ul.ln,
 		sockPath:  ul.path,
 		ringPath:  ringPath,
-		mem:       mem,
 		br:        br,
 		members:   map[int]*busMember{},
 		spaceWake: make(chan struct{}, 1),
@@ -140,22 +118,14 @@ func (b *Backend) NewBroadcastGroup(maxReaders int) (*BroadcastGroup, error) {
 	g.w.wakeData = g.wakeMember
 	g.wg.Add(1)
 	go g.acceptLoop()
-	runtime.SetFinalizer(g, (*BroadcastGroup).unmapRing)
 	return g, nil
-}
-
-func (g *BroadcastGroup) unmapRing() {
-	if g.mem != nil {
-		unmap(g.mem)
-		g.mem = nil
-	}
 }
 
 // Addr is the rendezvous socket path consumers pass to JoinBroadcast.
 func (g *BroadcastGroup) Addr() string { return g.sockPath }
 
 // Sink returns the group's FrameSink: every Write/Flush publishes to all
-// active readers at once. It also implements comm.SpillCounter.
+// active readers at once.
 func (g *BroadcastGroup) Sink() comm.FrameSink { return groupSink{g} }
 
 // groupSink serializes sink access on the group's publish lock so
@@ -179,8 +149,6 @@ func (s groupSink) Flush() error {
 	defer s.g.mu.Unlock()
 	return s.g.w.Flush()
 }
-
-func (s groupSink) Spills() uint64 { return s.g.w.Spills() }
 
 // Members returns the names of currently active readers. A reader that
 // was evicted or died is gone from the snapshot, so the caller's next
@@ -213,6 +181,10 @@ func (g *BroadcastGroup) MemberSet() map[string]bool {
 // Evictions reports how many lagging readers the writer has cut loose.
 func (g *BroadcastGroup) Evictions() uint64 { return g.evictions.Load() }
 
+// Spills reports how many records the writer force-published mid-train
+// because a frame train outgrew the chunk budget or the free space.
+func (g *BroadcastGroup) Spills() uint64 { return g.w.Spills() }
+
 func (g *BroadcastGroup) markDead() {
 	g.deadOnce.Do(func() { close(g.dead) })
 }
@@ -220,8 +192,8 @@ func (g *BroadcastGroup) markDead() {
 // Close marks the ring closed (readers drain what is published, then see
 // EOF), stops the accept loop, severs every member socket, and removes
 // the ring file. The mapping itself outlives Close — a reader goroutine
-// mid-copy must never touch unmapped pages — and is released when the
-// group is collected.
+// mid-copy must never touch unmapped pages — and is released once
+// nothing references the ring (see discard).
 func (g *BroadcastGroup) Close() error {
 	g.closeOnce.Do(func() {
 		g.br.closed.Store(1)
@@ -256,22 +228,11 @@ func (g *BroadcastGroup) acceptLoop() {
 // to map the ring.
 func (g *BroadcastGroup) acceptJoin(sock net.Conn) error {
 	_ = sock.SetDeadline(time.Now().Add(rendezvousTimeout))
-	var fixed [8 + 1 + 2]byte
-	if _, err := io.ReadFull(sock, fixed[:]); err != nil {
+	if err := readHello(sock); err != nil {
 		return err
 	}
-	if binary.LittleEndian.Uint64(fixed[0:8]) != bringMagic {
-		return errors.New("shm: broadcast join: bad magic")
-	}
-	if v := fixed[8]; v != RingVersion {
-		return fmt.Errorf("shm: broadcast join: protocol version %d, want %d", v, RingVersion)
-	}
-	nameLen := binary.LittleEndian.Uint16(fixed[9:11])
-	if nameLen == 0 || nameLen > 1024 {
-		return fmt.Errorf("shm: broadcast join: bad name length %d", nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(sock, nameBuf); err != nil {
+	name, err := readString(sock, 1024)
+	if err != nil {
 		return err
 	}
 
@@ -287,7 +248,7 @@ func (g *BroadcastGroup) acceptJoin(sock net.Conn) error {
 	// JoinBroadcast returns is already in Members. Nothing writes to its
 	// socket meanwhile: data wakes go only to readers that parked, and a
 	// reader parks only after mapping the ring from the reply.
-	m := &busMember{name: string(nameBuf), slot: slot, sock: sock}
+	m := &busMember{name: name, slot: slot, sock: sock}
 	g.memMu.Lock()
 	g.members[slot] = m
 	g.memMu.Unlock()
@@ -296,8 +257,7 @@ func (g *BroadcastGroup) acceptJoin(sock net.Conn) error {
 	reply = binary.LittleEndian.AppendUint32(reply, uint32(slot))
 	reply = binary.LittleEndian.AppendUint64(reply, g.br.cap)
 	reply = binary.LittleEndian.AppendUint32(reply, uint32(g.br.nslots))
-	reply = binary.LittleEndian.AppendUint16(reply, uint16(len(g.ringPath)))
-	reply = append(reply, g.ringPath...)
+	reply = appendString(reply, g.ringPath)
 	if _, err := sock.Write(reply); err != nil {
 		g.memMu.Lock()
 		delete(g.members, slot)
@@ -320,36 +280,19 @@ func (g *BroadcastGroup) acceptJoin(sock net.Conn) error {
 // live bytes).
 func (g *BroadcastGroup) memberLoop(m *busMember) {
 	defer g.wg.Done()
-	buf := make([]byte, 64)
-	for {
-		n, err := m.sock.Read(buf)
-		for _, c := range buf[:n] {
-			if c == wakeSpaceByte {
-				select {
-				case g.spaceWake <- struct{}{}:
-				default:
-				}
-			}
-		}
-		if err != nil {
-			g.memMu.Lock()
-			delete(g.members, m.slot)
-			g.memMu.Unlock()
-			g.br.freeSlot(m.slot)
-			// The departed reader's head no longer bounds reclaim;
-			// unblock a writer that was waiting on it the way a
-			// reader's release does (park's waker half): signal only
-			// if the swap finds the park word set.
-			if g.br.wrPark.Swap(0) != 0 {
-				select {
-				case g.spaceWake <- struct{}{}:
-				default:
-				}
-			}
-			m.sock.Close()
-			return
-		}
+	drainWakes(m.sock, nil, g.spaceWake)
+	g.memMu.Lock()
+	delete(g.members, m.slot)
+	g.memMu.Unlock()
+	g.br.freeSlot(m.slot)
+	// The departed reader's head no longer bounds reclaim; unblock a
+	// writer that was waiting on it the way a reader's release does
+	// (park's waker half): signal only if the swap finds the park word
+	// set.
+	if g.br.wrPark.Swap(0) != 0 {
+		signal(g.spaceWake)
 	}
+	m.sock.Close()
 }
 
 // wakeMember delivers a data wake to the parked reader in slot.
@@ -358,7 +301,7 @@ func (g *BroadcastGroup) wakeMember(slot int) {
 	m := g.members[slot]
 	g.memMu.Unlock()
 	if m != nil {
-		_, _ = m.sock.Write([]byte{wakeDataByte})
+		_, _ = m.sock.Write(wakeDataMsg)
 	}
 }
 
@@ -411,20 +354,9 @@ func (g *BroadcastGroup) waitSpace(need uint64) error {
 // comm.ReadFrame. A reader that lags until eviction gets a sticky
 // ErrEvicted; the caller then falls back to its per-link connection.
 type BusReader struct {
-	sock net.Conn
-	mem  []byte
-	br   *bring
-	rd   *bringReader
-
-	dataWake  chan struct{}
-	dead      chan struct{}
-	deadOnce  sync.Once
-	closeOnce sync.Once
-	closeErr  error
-	// loopWG tracks sockLoop so Close can wait for it: closing the socket
-	// fails the loop's blocking Read, and waiting here guarantees a closed
-	// reader leaves nothing running.
-	loopWG sync.WaitGroup
+	wakeSock
+	br *bring
+	rd *bringReader
 }
 
 // JoinBroadcast attaches to the broadcast group listening at the
@@ -447,11 +379,7 @@ func joinBroadcast(sock net.Conn, name string) (*BusReader, error) {
 		return nil, fmt.Errorf("bad reader name %q", name)
 	}
 	_ = sock.SetDeadline(time.Now().Add(rendezvousTimeout))
-	msg := make([]byte, 0, 8+1+2+len(name))
-	msg = binary.LittleEndian.AppendUint64(msg, bringMagic)
-	msg = append(msg, RingVersion)
-	msg = binary.LittleEndian.AppendUint16(msg, uint16(len(name)))
-	msg = append(msg, name...)
+	msg := appendString(appendHello(make([]byte, 0, 8+1+2+len(name))), name)
 	if _, err := sock.Write(msg); err != nil {
 		return nil, err
 	}
@@ -462,101 +390,33 @@ func joinBroadcast(sock net.Conn, name string) (*BusReader, error) {
 	if status[0] != 1 {
 		return nil, fmt.Errorf("join refused (status %d)", status[0])
 	}
-	var hdr [4 + 8 + 4 + 2]byte
+	var hdr [4 + 8 + 4]byte
 	if _, err := io.ReadFull(sock, hdr[:]); err != nil {
 		return nil, err
 	}
 	slot := binary.LittleEndian.Uint32(hdr[0:4])
 	capacity := binary.LittleEndian.Uint64(hdr[4:12])
 	nslots := binary.LittleEndian.Uint32(hdr[12:16])
-	pathLen := binary.LittleEndian.Uint16(hdr[16:18])
-	if capacity < minRingBytes || capacity > maxRingBytes || capacity&(capacity-1) != 0 {
+	if !validCapacity(capacity) {
 		return nil, fmt.Errorf("bad ring capacity %d", capacity)
 	}
 	if nslots < 1 || nslots > maxBroadcastReaders || slot >= nslots {
 		return nil, fmt.Errorf("bad slot %d of %d", slot, nslots)
 	}
-	if pathLen == 0 || pathLen > 4096 {
-		return nil, fmt.Errorf("bad path length %d", pathLen)
-	}
-	pathBuf := make([]byte, pathLen)
-	if _, err := io.ReadFull(sock, pathBuf); err != nil {
-		return nil, err
-	}
-	mem, err := mapRingFile(string(pathBuf), bringSize(capacity, int(nslots)))
+	path, err := readString(sock, 4096)
 	if err != nil {
 		return nil, err
 	}
-	br, err := openBring(mem)
+	br, err := openRingFile(path, bringSize(capacity, int(nslots)))
 	if err != nil {
-		unmap(mem)
 		return nil, err
 	}
 	_ = sock.SetDeadline(time.Time{})
-	r := &BusReader{
-		sock:     sock,
-		mem:      mem,
-		br:       br,
-		rd:       newBringReader(br, int(slot)),
-		dataWake: make(chan struct{}, 1),
-		dead:     make(chan struct{}),
-	}
-	r.rd.waitData = r.waitData
-	r.rd.wakeSpace = func() { _, _ = r.sock.Write([]byte{wakeSpaceByte}) }
-	r.loopWG.Add(1)
-	go r.sockLoop()
-	runtime.SetFinalizer(r, (*BusReader).unmapRing)
+	r := &BusReader{br: br, rd: newBringReader(br, int(slot))}
+	r.rd.waitData = func(pos uint64) error { return r.waitData(br, r.rd.slot, pos) }
+	r.rd.wakeSpace = func() { r.wake(wakeSpaceMsg) }
+	r.start(sock)
 	return r, nil
-}
-
-func (r *BusReader) unmapRing() {
-	if r.mem != nil {
-		unmap(r.mem)
-		r.mem = nil
-	}
-}
-
-func (r *BusReader) sockLoop() {
-	defer r.loopWG.Done()
-	buf := make([]byte, 64)
-	for {
-		n, err := r.sock.Read(buf)
-		for _, c := range buf[:n] {
-			if c == wakeDataByte {
-				select {
-				case r.dataWake <- struct{}{}:
-				default:
-				}
-			}
-		}
-		if err != nil {
-			r.markDead()
-			return
-		}
-	}
-}
-
-func (r *BusReader) markDead() {
-	r.deadOnce.Do(func() { close(r.dead) })
-}
-
-// waitData blocks until the writer publishes past pos. A closed group
-// surfaces as io.EOF; eviction (slot state flipped, or the socket
-// severed by the producer) as ErrEvicted or io.EOF.
-func (r *BusReader) waitData(pos uint64) error {
-	br := r.br
-	slot := r.rd.slot
-	park(br.slotPark(slot), r.dataWake, r.dead, nil, func() bool {
-		return br.tail.Load() > pos || br.closed.Load() != 0 ||
-			br.slotState(slot).Load() != slotActive
-	})
-	switch {
-	case br.tail.Load() > pos:
-		return nil
-	case br.closed.Load() == 0 && br.slotState(slot).Load() != slotActive:
-		return ErrEvicted
-	}
-	return io.EOF
 }
 
 // Read implements comm.FrameSource (io.Reader half).
@@ -566,15 +426,6 @@ func (r *BusReader) Read(p []byte) (int, error) { return r.rd.Read(p) }
 func (r *BusReader) ReadByte() (byte, error) { return r.rd.ReadByte() }
 
 // Close leaves the group: the producer sees the socket EOF and frees
-// this reader's slot. The mapping is released when the reader is
-// collected, never under a goroutine mid-copy.
-func (r *BusReader) Close() error {
-	r.closeOnce.Do(func() {
-		r.markDead()
-		r.closeErr = r.sock.Close()
-		// The closed socket fails the loop's pending Read; reap it so a
-		// closed reader leaves nothing running.
-		r.loopWG.Wait()
-	})
-	return r.closeErr
-}
+// this reader's slot. The mapping is released once nothing references
+// the ring, never under a goroutine mid-copy.
+func (r *BusReader) Close() error { return r.close() }

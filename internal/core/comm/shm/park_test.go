@@ -99,11 +99,11 @@ func TestConnParkWakeStress(t *testing.T) {
 		dc, ac := connPair(t, minRingBytes)
 		var spaceParks, dataParks atomic.Int64
 		waitSpace := dc.w.waitSpace
-		dc.w.waitSpace = func(minHead uint64) error {
-			if dc.tx.head.Load() < minHead {
+		dc.w.waitSpace = func(need uint64) error {
+			if dc.tx.slotHead(0).Load() < need {
 				spaceParks.Add(1)
 			}
-			return waitSpace(minHead)
+			return waitSpace(need)
 		}
 		waitData := ac.rd.waitData
 		ac.rd.waitData = func(pos uint64) error {
@@ -247,7 +247,7 @@ func TestConnCloseWhileParked(t *testing.T) {
 				errc = parkedWrite(self, self.tx.wrPark)
 				want = errRingClosed
 			} else {
-				errc = parkedRead(self, self.rx.rdPark)
+				errc = parkedRead(self, self.rx.slotPark(0))
 			}
 			tc.end(self, peer)
 			if err := <-errc; !errors.Is(err, want) {

@@ -1,9 +1,10 @@
-// Backend, Listener and Conn: the OS-facing half of the shm transport.
-// The rendezvous runs over a unix-domain socket with a hand-rolled binary
-// setup message — no gob below the backend seam, which erdos-vet's
-// zerogob analyzer enforces — and the same socket then carries single
-// wake bytes for the park/wake protocol and doubles as the liveness
-// signal (EOF means the peer died).
+// Backend, Listener and Conn: the OS-facing half of the shm transport,
+// and the glue a Conn shares with broadcast.go — ring files, the
+// rendezvous hello, and the wake socket. The rendezvous runs over a
+// unix-domain socket with a hand-rolled binary setup message — no gob
+// below the backend seam, which erdos-vet's zerogob analyzer enforces —
+// and the same socket then carries single wake bytes for the park/wake
+// protocol and doubles as the liveness signal (EOF means the peer died).
 package shm
 
 import (
@@ -30,7 +31,8 @@ const (
 	DefaultRingBytes = 1 << 20
 
 	// wakeDataByte/wakeSpaceByte are the park/wake signals: "I published
-	// a record into my tx ring" and "I freed space in my rx ring".
+	// a record into a ring you read" and "I freed space in a ring you
+	// write".
 	wakeDataByte  = 'd'
 	wakeSpaceByte = 's'
 
@@ -68,11 +70,118 @@ func (b *Backend) ringBytes() (uint64, error) {
 	if b.RingBytes != 0 {
 		n = uint64(b.RingBytes)
 	}
-	if n < minRingBytes || n > maxRingBytes || n&(n-1) != 0 {
+	if !validCapacity(n) {
 		return 0, fmt.Errorf("shm: ring capacity %d is not a power of two in [%d, %d]",
 			n, minRingBytes, maxRingBytes)
 	}
 	return n, nil
+}
+
+// createRing creates a ring file with nslots reader slots under dir, maps
+// it and stamps a fresh header. On error nothing is left behind.
+func createRing(dir string, capacity uint64, nslots int) (string, *bring, error) {
+	size := bringSize(capacity, nslots)
+	f, err := os.CreateTemp(dir, "erdos-ring-*")
+	if err != nil {
+		return "", nil, err
+	}
+	path := f.Name()
+	var br *bring
+	if err = f.Truncate(int64(size)); err == nil {
+		var mem []byte
+		if mem, err = mapFile(f, size); err == nil {
+			if br, err = initBring(mem, capacity, nslots); err != nil {
+				unmap(mem)
+			}
+		}
+	}
+	f.Close()
+	if err != nil {
+		os.Remove(path)
+		return "", nil, err
+	}
+	runtime.SetFinalizer(br, discard)
+	return path, br, nil
+}
+
+// openRingFile maps the existing ring file at path, verifying its size
+// and header.
+func openRingFile(path string, size int) (*bring, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if st.Size() != int64(size) {
+		return nil, fmt.Errorf("ring file %s is %d bytes, want %d", path, st.Size(), size)
+	}
+	mem, err := mapFile(f, size)
+	if err != nil {
+		return nil, err
+	}
+	br, err := openBring(mem)
+	if err != nil {
+		unmap(mem)
+		return nil, err
+	}
+	runtime.SetFinalizer(br, discard)
+	return br, nil
+}
+
+// discard unmaps a mapped ring. createRing and openRingFile set it as the
+// ring's finalizer: every goroutine that copies in or out of a ring holds
+// the ring itself, so the mapping outlives Close and is released only
+// once no reader blocked in the ring can touch it. Setup paths that never
+// hand a ring out call it directly.
+func discard(br *bring) {
+	runtime.SetFinalizer(br, nil)
+	unmap(br.mem)
+}
+
+// appendHello starts a rendezvous message: the ring magic and protocol
+// version, which readHello checks on the other side.
+func appendHello(msg []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(msg, bringMagic), RingVersion)
+}
+
+func readHello(r io.Reader) error {
+	var hello [8 + 1]byte
+	if _, err := io.ReadFull(r, hello[:]); err != nil {
+		return err
+	}
+	if binary.LittleEndian.Uint64(hello[0:8]) != bringMagic {
+		return errors.New("bad magic")
+	}
+	if v := hello[8]; v != RingVersion {
+		return fmt.Errorf("protocol version %d, want %d", v, RingVersion)
+	}
+	return nil
+}
+
+// appendString/readString carry a u16-length-prefixed string (a path or
+// a reader name) of 1..max bytes.
+func appendString(msg []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint16(msg, uint16(len(s))), s...)
+}
+
+func readString(r io.Reader, max int) (string, error) {
+	var lb [2]byte
+	if _, err := io.ReadFull(r, lb[:]); err != nil {
+		return "", err
+	}
+	n := int(binary.LittleEndian.Uint16(lb[:]))
+	if n == 0 || n > max {
+		return "", fmt.Errorf("bad string length %d", n)
+	}
+	p := make([]byte, n)
+	if _, err := io.ReadFull(r, p); err != nil {
+		return "", err
+	}
+	return string(p), nil
 }
 
 // sockSeq disambiguates auto-generated rendezvous socket paths within a
@@ -129,85 +238,40 @@ func (l *listener) Accept() (net.Conn, error) {
 
 func (l *listener) accept(sock net.Conn) (*Conn, error) {
 	_ = sock.SetDeadline(time.Now().Add(rendezvousTimeout))
-	var fixed [8 + 1 + 8]byte
-	if _, err := io.ReadFull(sock, fixed[:]); err != nil {
+	if err := readHello(sock); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(fixed[0:8]) != ringMagic {
-		return nil, errors.New("bad magic")
+	var cb [8]byte
+	if _, err := io.ReadFull(sock, cb[:]); err != nil {
+		return nil, err
 	}
-	if v := fixed[8]; v != RingVersion {
-		return nil, fmt.Errorf("protocol version %d, want %d", v, RingVersion)
-	}
-	capacity := binary.LittleEndian.Uint64(fixed[9:17])
-	if capacity < minRingBytes || capacity > maxRingBytes || capacity&(capacity-1) != 0 {
+	capacity := binary.LittleEndian.Uint64(cb[:])
+	if !validCapacity(capacity) {
 		return nil, fmt.Errorf("bad ring capacity %d", capacity)
 	}
-	readPath := func() (string, error) {
-		var lb [2]byte
-		if _, err := io.ReadFull(sock, lb[:]); err != nil {
-			return "", err
-		}
-		n := binary.LittleEndian.Uint16(lb[:])
-		if n == 0 || n > 4096 {
-			return "", fmt.Errorf("bad path length %d", n)
-		}
-		p := make([]byte, n)
-		if _, err := io.ReadFull(sock, p); err != nil {
-			return "", err
-		}
-		return string(p), nil
-	}
-	d2aPath, err := readPath()
+	d2aPath, err := readString(sock, 4096)
 	if err != nil {
 		return nil, err
 	}
-	a2dPath, err := readPath()
+	a2dPath, err := readString(sock, 4096)
 	if err != nil {
 		return nil, err
 	}
-	size := int(ringDataOff + capacity)
-	d2a, err := mapRingFile(d2aPath, size)
+	size := bringSize(capacity, 1)
+	rx, err := openRingFile(d2aPath, size)
 	if err != nil {
 		return nil, err
 	}
-	a2d, err := mapRingFile(a2dPath, size)
-	if err != nil {
-		unmap(d2a)
-		return nil, err
-	}
-	rx, err := openRing(d2a)
+	tx, err := openRingFile(a2dPath, size)
 	if err == nil {
-		var tx *ring
-		if tx, err = openRing(a2d); err == nil {
-			if _, werr := sock.Write([]byte{1}); werr != nil {
-				err = werr
-			} else {
-				_ = sock.SetDeadline(time.Time{})
-				return newConn(sock, tx, rx, [][]byte{d2a, a2d}), nil
-			}
+		if _, err = sock.Write([]byte{1}); err == nil {
+			_ = sock.SetDeadline(time.Time{})
+			return newConn(sock, tx, rx), nil
 		}
+		discard(tx)
 	}
-	unmap(d2a)
-	unmap(a2d)
+	discard(rx)
 	return nil, err
-}
-
-// mapRingFile opens and maps an existing ring file, verifying its size.
-func mapRingFile(path string, size int) ([]byte, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Size() != int64(size) {
-		return nil, fmt.Errorf("ring file %s is %d bytes, want %d", path, st.Size(), size)
-	}
-	return mapFile(f, size)
 }
 
 // Dial implements comm.Backend: create the ring pair, rendezvous with
@@ -232,190 +296,138 @@ func (b *Backend) Dial(addr string) (net.Conn, error) {
 
 func (b *Backend) dial(sock net.Conn, capacity uint64) (*Conn, error) {
 	_ = sock.SetDeadline(time.Now().Add(rendezvousTimeout))
-	size := int(ringDataOff + capacity)
-	createRing := func() (string, []byte, *ring, error) {
-		f, err := os.CreateTemp(b.dir(), "erdos-ring-*")
-		if err != nil {
-			return "", nil, nil, err
-		}
-		path := f.Name()
-		if err := f.Truncate(int64(size)); err != nil {
-			f.Close()
-			os.Remove(path)
-			return "", nil, nil, err
-		}
-		mem, err := mapFile(f, size)
-		f.Close()
-		if err != nil {
-			os.Remove(path)
-			return "", nil, nil, err
-		}
-		r, err := initRing(mem, capacity)
-		if err != nil {
-			unmap(mem)
-			os.Remove(path)
-			return "", nil, nil, err
-		}
-		return path, mem, r, nil
-	}
-	d2aPath, d2aMem, tx, err := createRing()
+	d2aPath, tx, err := createRing(b.dir(), capacity, 1)
 	if err != nil {
 		return nil, err
 	}
-	a2dPath, a2dMem, rx, err := createRing()
+	a2dPath, rx, err := createRing(b.dir(), capacity, 1)
 	if err != nil {
-		unmap(d2aMem)
+		discard(tx)
 		os.Remove(d2aPath)
 		return nil, err
 	}
-	fail := func(err error) (*Conn, error) {
-		unmap(d2aMem)
-		unmap(a2dMem)
-		os.Remove(d2aPath)
-		os.Remove(a2dPath)
-		return nil, err
-	}
-	msg := make([]byte, 0, 8+1+8+2+len(d2aPath)+2+len(a2dPath))
-	msg = binary.LittleEndian.AppendUint64(msg, ringMagic)
-	msg = append(msg, RingVersion)
+	// Each direction's one reader is attached at offset 0 before either
+	// ring is shared, so neither side ever sees a free slot.
+	tx.attach(0)
+	rx.attach(0)
+	// The files are unlinked on every path: on success the acceptor has
+	// both mapped, so the rings live exactly as long as the mappings.
+	defer os.Remove(d2aPath)
+	defer os.Remove(a2dPath)
+	msg := appendHello(make([]byte, 0, 8+1+8+2+len(d2aPath)+2+len(a2dPath)))
 	msg = binary.LittleEndian.AppendUint64(msg, capacity)
-	msg = binary.LittleEndian.AppendUint16(msg, uint16(len(d2aPath)))
-	msg = append(msg, d2aPath...)
-	msg = binary.LittleEndian.AppendUint16(msg, uint16(len(a2dPath)))
-	msg = append(msg, a2dPath...)
-	if _, err := sock.Write(msg); err != nil {
-		return fail(err)
-	}
+	msg = appendString(msg, d2aPath)
+	msg = appendString(msg, a2dPath)
+	_, err = sock.Write(msg)
 	var ack [1]byte
-	if _, err := io.ReadFull(sock, ack[:]); err != nil {
-		return fail(err)
+	if err == nil {
+		_, err = io.ReadFull(sock, ack[:])
 	}
-	if ack[0] != 1 {
-		return fail(fmt.Errorf("rendezvous refused (status %d)", ack[0]))
+	if err == nil && ack[0] != 1 {
+		err = fmt.Errorf("rendezvous refused (status %d)", ack[0])
 	}
-	// The acceptor has both files mapped; unlink them so the rings live
-	// exactly as long as the mappings.
-	os.Remove(d2aPath)
-	os.Remove(a2dPath)
+	if err != nil {
+		discard(tx)
+		discard(rx)
+		return nil, err
+	}
 	_ = sock.SetDeadline(time.Time{})
-	return newConn(sock, tx, rx, [][]byte{d2aMem, a2dMem}), nil
+	return newConn(sock, tx, rx), nil
 }
 
-// Addr is the net.Addr of a shm connection: the rendezvous socket path.
-type Addr struct{ Path string }
-
-func (a Addr) Network() string { return "shm" }
-func (a Addr) String() string  { return a.Path }
-
-// Conn is one shared-memory connection: a tx ring this side produces
-// into, an rx ring it consumes from, and the rendezvous socket carrying
-// wakes and liveness. It implements net.Conn (so comm's ConnHook fault
-// wrappers apply unchanged) and comm.BufferedConn (so unwrapped
-// connections encode frames straight into the ring, skipping the bufio
-// copy).
-type Conn struct {
-	sock net.Conn
-	tx   *ring
-	rx   *ring
-	w    *ringWriter
-	rd   *ringReader
-
+// wakeSock is one end's rendezvous socket once setup is done: a loop
+// drains the peer's wake bytes into the wait sites' channels, and the
+// socket's EOF or a local close closes dead. Conn and BusReader embed it.
+type wakeSock struct {
+	sock      net.Conn
 	dataWake  chan struct{}
 	spaceWake chan struct{}
 	dead      chan struct{}
 	deadOnce  sync.Once
 	closeOnce sync.Once
 	closeErr  error
-	// loopWG tracks sockLoop so Close can wait for it: closing the socket
-	// fails the loop's blocking Read, and waiting here guarantees no
-	// goroutine survives the connection.
+	// loopWG tracks the wake loop so close can wait for it: closing the
+	// socket fails the loop's blocking Read, and waiting here guarantees
+	// no goroutine survives the endpoint.
 	loopWG sync.WaitGroup
-
-	maps [][]byte
 }
 
-func newConn(sock net.Conn, tx, rx *ring, maps [][]byte) *Conn {
-	c := &Conn{
-		sock:      sock,
-		tx:        tx,
-		rx:        rx,
-		dataWake:  make(chan struct{}, 1),
-		spaceWake: make(chan struct{}, 1),
-		dead:      make(chan struct{}),
-		maps:      maps,
-	}
-	c.w = newRingWriter(tx)
-	c.w.waitSpace = c.waitSpace
-	c.w.wakeData = c.sendWake(wakeDataByte)
-	c.rd = newRingReader(rx)
-	c.rd.waitData = c.waitData
-	c.rd.wakeSpace = c.sendWake(wakeSpaceByte)
-	c.loopWG.Add(1)
-	go c.sockLoop()
-	// The mappings outlive Close on purpose: a reader blocked in the
-	// ring must never touch unmapped memory, so the pages are released
-	// when the Conn itself is collected.
-	runtime.SetFinalizer(c, (*Conn).unmapAll)
-	return c
+// start takes sock over and runs its wake loop.
+func (s *wakeSock) start(sock net.Conn) {
+	s.sock = sock
+	s.dataWake = make(chan struct{}, 1)
+	s.spaceWake = make(chan struct{}, 1)
+	s.dead = make(chan struct{})
+	s.loopWG.Add(1)
+	go func() {
+		defer s.loopWG.Done()
+		drainWakes(sock, s.dataWake, s.spaceWake)
+		s.markDead()
+	}()
 }
 
-func (c *Conn) unmapAll() {
-	for _, m := range c.maps {
-		unmap(m)
-	}
-	c.maps = nil
-}
-
-// sockLoop drains wake bytes, forwarding each to the matching waiter
-// channel, and flags the connection dead on socket EOF or error.
-func (c *Conn) sockLoop() {
-	defer c.loopWG.Done()
+// drainWakes forwards each wake byte read from sock to the matching
+// channel (a nil channel drops it) until the socket fails.
+func drainWakes(sock net.Conn, dataWake, spaceWake chan struct{}) {
 	buf := make([]byte, 64)
 	for {
-		n, err := c.sock.Read(buf)
+		n, err := sock.Read(buf)
 		for _, b := range buf[:n] {
 			switch b {
 			case wakeDataByte:
-				select {
-				case c.dataWake <- struct{}{}:
-				default:
-				}
+				signal(dataWake)
 			case wakeSpaceByte:
-				select {
-				case c.spaceWake <- struct{}{}:
-				default:
-				}
+				signal(spaceWake)
 			}
 		}
 		if err != nil {
-			c.markDead()
 			return
 		}
 	}
 }
 
-func (c *Conn) markDead() {
-	c.deadOnce.Do(func() { close(c.dead) })
-}
-
-// sendWake returns a func that writes one wake byte to the peer. Wakes
-// are only sent when the peer's park flag was observed set, so the
-// socket never backs up.
-func (c *Conn) sendWake(b byte) func() {
-	buf := []byte{b}
-	return func() {
-		_, _ = c.sock.Write(buf)
+// signal posts a token on a cap-1 wake channel without blocking.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
-// park is the one wait loop behind every ring wait site: a Conn's
-// waitData and waitSpace, a BusReader's waitData and a BroadcastGroup's
-// waitSpace. It raises flag, this side's park word in the shared ring
-// header, re-checks ready, and blocks on wake until ready holds. It also
-// returns once dead closes or timeout fires (nil everywhere but the
-// broadcast writer's eviction timer); the caller tells which from the
-// ring's state. ready must include the ring's closed word, which a
-// peer's Close sets before it closes its socket.
+func (s *wakeSock) markDead() {
+	s.deadOnce.Do(func() { close(s.dead) })
+}
+
+// wakeDataMsg/wakeSpaceMsg are the one-byte wake messages, shared so a
+// wake allocates nothing.
+var (
+	wakeDataMsg  = []byte{wakeDataByte}
+	wakeSpaceMsg = []byte{wakeSpaceByte}
+)
+
+// wake writes one wake message to the peer. Wakes are only sent when the
+// peer's park flag was observed set, so the socket never backs up.
+func (s *wakeSock) wake(msg []byte) { _, _ = s.sock.Write(msg) }
+
+// close unblocks local waiters, closes the socket (EOF unblocks the
+// peer's), and reaps the wake loop. Idempotent.
+func (s *wakeSock) close() error {
+	s.closeOnce.Do(func() {
+		s.markDead()
+		s.closeErr = s.sock.Close()
+		s.loopWG.Wait()
+	})
+	return s.closeErr
+}
+
+// park is the one wait loop behind every ring wait site: a reader's
+// waitData (a Conn's or a BusReader's) and a writer's waitSpace (a
+// Conn's or a BroadcastGroup's). It raises flag, this side's park word in
+// the shared ring header, re-checks ready, and blocks on wake until ready
+// holds. It also returns once dead closes or timeout fires (nil
+// everywhere but the broadcast writer's eviction timer); the caller tells
+// which from the ring's state. ready must include the ring's closed word,
+// which a peer's Close sets before it closes its socket.
 //
 // The waiter parks at once and no poll stands behind it, because no wake
 // is lost:
@@ -425,11 +437,11 @@ func (c *Conn) sendWake(b byte) func() {
 //     sync/atomic operations, so if the re-check misses the change, the
 //     swap after it (or an earlier waker's swap) reads the waiter's one
 //     and sends a token after the waiter raised the flag.
-//   - Each site has exactly one waiter: a ring or reader slot has one
-//     consumer, and a writer holds its connection's write lock or the
-//     group's publish lock. So a token that finds the cap-1 wake channel
-//     full finds one that very waiter has not yet taken, and it wakes
-//     either way. A stale token costs one extra re-check.
+//   - Each site has exactly one waiter: a reader slot has one reader,
+//     and a writer holds its connection's write lock or the group's
+//     publish lock. So a token that finds the cap-1 wake channel full
+//     finds one that very waiter has not yet taken, and it wakes either
+//     way. A stale token costs one extra re-check.
 //   - A local Close and the peer's death (EOF on the socket) both close
 //     dead.
 func park(flag *atomic.Uint32, wake, dead <-chan struct{}, timeout <-chan time.Time, ready func() bool) {
@@ -449,27 +461,63 @@ func park(flag *atomic.Uint32, wake, dead <-chan struct{}, timeout <-chan time.T
 	}
 }
 
-// waitData blocks until the rx ring has a published record past pos, or
-// the link dies (io.EOF).
-func (c *Conn) waitData(pos uint64) error {
-	rx := c.rx
-	park(rx.rdPark, c.dataWake, c.dead, nil, func() bool {
-		return rx.tail.Load() > pos || rx.closed.Load() != 0
+// waitData blocks until br publishes past pos for the reader in slot. A
+// closed ring or a dead socket surfaces as io.EOF; a broadcast reader's
+// eviction (slot state flipped, or the socket severed by the producer) as
+// ErrEvicted or io.EOF. A Conn's one reader is never evicted.
+func (s *wakeSock) waitData(br *bring, slot int, pos uint64) error {
+	park(br.slotPark(slot), s.dataWake, s.dead, nil, func() bool {
+		return br.tail.Load() > pos || br.closed.Load() != 0 ||
+			br.slotState(slot).Load() != slotActive
 	})
-	if rx.tail.Load() > pos {
+	switch {
+	case br.tail.Load() > pos:
 		return nil
+	case br.closed.Load() == 0 && br.slotState(slot).Load() != slotActive:
+		return ErrEvicted
 	}
 	return io.EOF
 }
 
-// waitSpace blocks until the tx ring's head reaches minHead (the
-// consumer freed enough space), or the link dies.
-func (c *Conn) waitSpace(minHead uint64) error {
+// Addr is the net.Addr of a shm connection: the rendezvous socket path.
+type Addr struct{ Path string }
+
+func (a Addr) Network() string { return "shm" }
+func (a Addr) String() string  { return a.Path }
+
+// Conn is one shared-memory connection: a tx ring this side writes into,
+// an rx ring it reads from — each a ring with one reader slot, the peer's
+// for tx and ours for rx — and the rendezvous socket carrying wakes and
+// liveness. It implements net.Conn (so comm's ConnHook fault wrappers
+// apply unchanged) and comm.BufferedConn (so unwrapped connections encode
+// frames straight into the ring, skipping the bufio copy).
+type Conn struct {
+	wakeSock
+	tx *bring
+	rx *bring
+	w  *bringWriter
+	rd *bringReader
+}
+
+func newConn(sock net.Conn, tx, rx *bring) *Conn {
+	c := &Conn{tx: tx, rx: rx, w: newBringWriter(tx), rd: newBringReader(rx, 0)}
+	c.w.waitSpace = c.waitSpace
+	c.w.wakeData = func(int) { c.wake(wakeDataMsg) }
+	c.rd.waitData = func(pos uint64) error { return c.waitData(rx, 0, pos) }
+	c.rd.wakeSpace = func() { c.wake(wakeSpaceMsg) }
+	c.start(sock)
+	return c
+}
+
+// waitSpace blocks until the tx ring's reader has freed space up to need,
+// or the link dies. The one reader is never evicted: a Conn's writer
+// waits for it as long as the link lives.
+func (c *Conn) waitSpace(need uint64) error {
 	tx := c.tx
 	park(tx.wrPark, c.spaceWake, c.dead, nil, func() bool {
-		return tx.head.Load() >= minHead || tx.closed.Load() != 0
+		return tx.minHead(tx.tail.Load()) >= need || tx.closed.Load() != 0
 	})
-	if tx.head.Load() >= minHead {
+	if tx.minHead(tx.tail.Load()) >= need {
 		return nil
 	}
 	return errRingClosed
@@ -496,19 +544,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 }
 
 // Close implements net.Conn: mark both rings closed (visible to the
-// peer), close the rendezvous socket (EOF unblocks the peer's waiters),
-// and unblock local waiters. Idempotent.
+// peer before the socket EOF), then close the wake socket. Idempotent.
 func (c *Conn) Close() error {
-	c.closeOnce.Do(func() {
-		c.tx.closed.Store(1)
-		c.rx.closed.Store(1)
-		c.markDead()
-		c.closeErr = c.sock.Close()
-		// The closed socket fails the loop's pending Read; reap it so a
-		// closed Conn leaves nothing running.
-		c.loopWG.Wait()
-	})
-	return c.closeErr
+	c.tx.closed.Store(1)
+	c.rx.closed.Store(1)
+	return c.close()
 }
 
 func (c *Conn) LocalAddr() net.Addr  { return Addr{Path: c.sock.LocalAddr().String()} }

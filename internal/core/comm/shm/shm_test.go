@@ -2,6 +2,7 @@ package shm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -11,14 +12,13 @@ import (
 	"time"
 )
 
-func testRing(t *testing.T, capacity uint64) *ring {
+// testRing returns a ring with one reader slot attached at offset 0 —
+// one direction of a Conn — and its writer and reader cursors.
+func testRing(t *testing.T, capacity uint64) (*bring, *bringWriter, *bringReader) {
 	t.Helper()
-	mem := make([]byte, ringDataOff+capacity)
-	r, err := initRing(mem, capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	b := testBring(t, capacity, 1)
+	slot, _ := b.attach(0)
+	return b, newBringWriter(b), newBringReader(b, slot)
 }
 
 // TestRingRoundtripWraparound streams far more data than the ring holds
@@ -26,9 +26,7 @@ func testRing(t *testing.T, capacity uint64) *ring {
 // to land on every wraparound seam, and verifies the byte stream survives
 // intact.
 func TestRingRoundtripWraparound(t *testing.T) {
-	r := testRing(t, minRingBytes)
-	w := newRingWriter(r)
-	rd := newRingReader(r)
+	_, w, rd := testRing(t, minRingBytes)
 
 	rng := rand.New(rand.NewSource(7))
 	var sent []byte
@@ -82,9 +80,7 @@ func TestRingRoundtripWraparound(t *testing.T) {
 // TestRingTrainLargerThanRing proves a single frame train bigger than the
 // whole ring streams through chunked records instead of deadlocking.
 func TestRingTrainLargerThanRing(t *testing.T) {
-	r := testRing(t, minRingBytes)
-	w := newRingWriter(r)
-	rd := newRingReader(r)
+	_, w, rd := testRing(t, minRingBytes)
 
 	payload := make([]byte, 3*minRingBytes)
 	for i := range payload {
@@ -111,8 +107,7 @@ func TestRingTrainLargerThanRing(t *testing.T) {
 // TestRingSequenceSkewDetected corrupts a record's sequence number in
 // place and asserts the reader refuses it instead of delivering bytes.
 func TestRingSequenceSkewDetected(t *testing.T) {
-	r := testRing(t, minRingBytes)
-	w := newRingWriter(r)
+	b, w, rd := testRing(t, minRingBytes)
 	if _, err := w.Write([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +115,7 @@ func TestRingSequenceSkewDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sequence lives at bytes 4..8 of the record header, at offset 0.
-	r.data[4] ^= 0xff
-	rd := newRingReader(r)
+	b.data[4] ^= 0xff
 	if _, err := rd.Read(make([]byte, 8)); !errors.Is(err, ErrRingCorrupt) {
 		t.Fatalf("corrupted sequence read err = %v, want ErrRingCorrupt", err)
 	}
@@ -131,16 +125,14 @@ func TestRingSequenceSkewDetected(t *testing.T) {
 // asserts the reader reports corruption rather than overrunning the
 // published tail.
 func TestRingCorruptLengthDetected(t *testing.T) {
-	r := testRing(t, minRingBytes)
-	w := newRingWriter(r)
+	b, w, rd := testRing(t, minRingBytes)
 	if _, err := w.Write([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r.data[0] = 0xff // declared length now far past the published tail
-	rd := newRingReader(r)
+	b.data[0] = 0xff // declared length now far past the published tail
 	if _, err := rd.Read(make([]byte, 8)); !errors.Is(err, ErrRingCorrupt) {
 		t.Fatalf("corrupted length read err = %v, want ErrRingCorrupt", err)
 	}
@@ -261,8 +253,7 @@ func TestVersionSkewRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sock.Close()
-	var msg []byte
-	msg = append(msg, 0x31, 0x30, 0x4d, 0x48, 0x53, 0x44, 0x52, 0x45) // magic LE
+	msg := binary.LittleEndian.AppendUint64(nil, bringMagic)
 	msg = append(msg, RingVersion+1)
 	msg = append(msg, make([]byte, 8)...)
 	if _, err := sock.Write(msg); err != nil {
